@@ -52,7 +52,7 @@ from repro.infer.kernels import (
     quantize_rows_,
     tune_quant_tile,
 )
-from repro.infer.ops import QuantizedLinear
+from repro.infer.ops import DEFAULT_MATMUL_MODE, MATMUL_MODES, QuantizedLinear
 from repro.infer.session import InferenceSession
 from repro.tensor import Tensor, no_grad
 from repro.vit.config import VitalConfig
@@ -73,6 +73,14 @@ COMPATIBLE_SCHEMAS = (
 #: dequant-tile baseline configuration, gated by ``infer-bench --check``
 #: on full (non-quick) records.
 INT8_SPEEDUP_FLOOR = 1.5
+
+#: ``quantization.engine.latency`` lane of each int8-resident matmul
+#: engine at the default (per-channel) scheme; the lineage lane
+#: ``per_channel_int8`` is the dequant-tile engine.
+ENGINE_LATENCY_LANES = {
+    "dequant_tile": "per_channel_int8_p50_ms",
+    "int8_accumulate": "per_channel_int8_accumulate_p50_ms",
+}
 
 #: Environment knobs that size the BLAS/OpenMP thread pool; recorded in
 #: the bench ``config`` block so a record states the thread configuration
@@ -580,12 +588,14 @@ def check_kernel_gates(result: dict, threshold: float = REGRESSION_THRESHOLD) ->
 
     Shared by ``infer-bench --check`` and ``bench_kernels.py --check``
     (which validates the committed record without re-timing).  Records
-    without a ``kernels`` section (v1/v2) pass vacuously.
+    without a ``kernels`` section (v1/v2) pass vacuously.  A full
+    ``quantization`` section additionally gates the default int8 engine
+    (:func:`default_engine_problems`).
     """
+    problems = default_engine_problems(result)
     kernels = result.get("kernels")
     if not kernels:
-        return []
-    problems: list[str] = []
+        return problems
     exactness = kernels.get("exactness", {})
     if not exactness.get("blocked_matches_monolithic", True):
         problems.append(
@@ -613,6 +623,33 @@ def check_kernel_gates(result: dict, threshold: float = REGRESSION_THRESHOLD) ->
             f"blocked fused p50 {blocked_p50:.3f} ms slower than naive "
             f"{naive_p50:.3f} ms (> +{threshold:.0%})"
         )
+    return problems
+
+
+def default_engine_problems(result: dict) -> list[str]:
+    """Fail when the engine ``matmul="auto"`` resolves to
+    (:data:`repro.infer.ops.DEFAULT_MATMUL_MODE`) has a higher recorded
+    per-channel single-sample p50 than the other int8-resident engine.
+
+    Reads the record's ``quantization.engine.latency`` lanes only; a
+    record without them, or a smoke-mode quantization section, passes.
+    """
+    quant = result.get("quantization") or {}
+    if quant.get("config", {}).get("smoke"):
+        return []
+    latency = quant.get("engine", {}).get("latency", {})
+    default_p50 = latency.get(ENGINE_LATENCY_LANES[DEFAULT_MATMUL_MODE])
+    if default_p50 is None:
+        return []
+    problems = []
+    for engine in MATMUL_MODES:
+        p50 = latency.get(ENGINE_LATENCY_LANES[engine])
+        if engine != DEFAULT_MATMUL_MODE and p50 is not None and default_p50 > p50:
+            problems.append(
+                f"default int8 engine {DEFAULT_MATMUL_MODE!r} (matmul='auto') "
+                f"records {default_p50:.3f} ms p50, slower than {engine!r} at "
+                f"{p50:.3f} ms"
+            )
     return problems
 
 

@@ -10,7 +10,6 @@ reference forward within 1e-5.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _special
 
 from repro.infer.kernels import (
     PackedWeight,
@@ -18,12 +17,28 @@ from repro.infer.kernels import (
     quantize_rows_,
 )
 
-_INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
+# Abramowitz & Stegun 7.1.26: for z >= 0,
+#   erfc(z) = (a1 t + a2 t^2 + a3 t^3 + a4 t^4 + a5 t^5) exp(-z^2),
+#   t = 1 / (1 + p z),  |error| <= 1.5e-7.
+# GELU needs Phi(x) = erfc(-x / sqrt2) / 2, so p is pre-divided by sqrt2
+# (t is taken straight from |x|) and the a_i carry the 1/2.
+_GELU_P = np.float32(0.3275911 / np.sqrt(2.0))
+_GELU_A5, *_GELU_HORNER = (np.float32(0.5 * a) for a in (
+    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592,
+))  # a5, then a4 .. a1 in Horner order
 
 #: Matmul strategies of a :class:`QuantizedLinear`: decode int8 tiles to
 #: float32 inside the matmul (the PR-3 baseline) vs. quantize the
 #: activations on the fly and accumulate int8 x int8 products exactly.
 MATMUL_MODES = ("dequant_tile", "int8_accumulate")
+
+#: The engine ``matmul="auto"`` resolves to.  The recorded
+#: ``BENCH_inference.json`` quantization lane times ``dequant_tile`` at
+#: 0.33 ms single-sample p50 against 0.51 ms for ``int8_accumulate``, and
+#: it is the closer one to float32 (argmax agreement 0.984 vs 0.977), so
+#: it is the default; ``benchmarks/bench_kernels.py --check`` fails if the
+#: record ever shows the default engine losing.
+DEFAULT_MATMUL_MODE = "dequant_tile"
 
 
 def contiguous_f32(array: np.ndarray) -> np.ndarray:
@@ -78,13 +93,35 @@ def softmax_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def gelu_(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Exact erf-based GELU applied in place to ``x`` using scratch ``tmp``."""
-    np.multiply(x, _INV_SQRT2, out=tmp)
-    _special.erf(tmp, out=tmp)
+def gelu_(x: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
+    """GELU ``x * Phi(x)`` applied in place to float32 ``x``; returns ``x``.
+
+    ``Phi`` is the standard normal CDF, evaluated as a float32 erfc from
+    NumPy ufuncs with the Abramowitz & Stegun 7.1.26 rational
+    approximation (``|erf error| <= 1.5e-7``), so the GELU error is at
+    most ``7.5e-8 * |x|`` plus float32 rounding; the measured maximum
+    against the float64 ``x * (1 + erf(x / sqrt2)) / 2`` is below 1e-6 on
+    ``[-12, 12]``.  ``tmp`` and ``tmp2`` are caller-owned scratch of
+    ``x``'s shape; nothing else is written or allocated.  The training
+    path (``Tensor.gelu``) keeps ``scipy.special.erf`` as the reference.
+    """
+    np.abs(x, out=tmp)
+    tmp *= _GELU_P
     tmp += 1.0
-    tmp *= 0.5
-    x *= tmp
+    np.reciprocal(tmp, out=tmp)  # t
+    np.multiply(tmp, _GELU_A5, out=tmp2)
+    for coeff in _GELU_HORNER:  # Horner: tmp2 = sum(a_i t^i) / 2
+        tmp2 += coeff
+        tmp2 *= tmp
+    np.multiply(x, x, out=tmp)
+    tmp *= -0.5
+    np.exp(tmp, out=tmp)
+    tmp *= tmp2  # E = Phi(-|x|) = erfc(|x| / sqrt2) / 2
+    # Phi(x) = 1 - E for x >= 0 and E for x < 0, i.e. [x >= 0] - sign(x) E
+    np.copysign(tmp, x, out=tmp)
+    np.greater_equal(x, 0.0, out=tmp2)
+    tmp2 -= tmp
+    x *= tmp2
     return x
 
 
@@ -111,8 +148,9 @@ class QuantizedLinear:
       against codes with int32-exact accumulation
       (:func:`repro.infer.kernels.int8_accumulate_into`), applying
       ``act_scale * weight_scale`` once per output block.  The weight
-      panel is *cast*, never multiplied by its scale, which is what
-      makes this the faster int8-resident path.
+      panel is *cast*, never multiplied by its scale.  The activation
+      quantization costs more than it saves at the recorded shapes, so
+      this engine is opt-in (see :data:`DEFAULT_MATMUL_MODE`).
 
     :meth:`materialize` decodes to a full float32 matrix (for the
     dequantize-on-load serving mode).  All scratch buffers are lazily

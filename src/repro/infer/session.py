@@ -81,6 +81,16 @@ def _validate_state(state, fmt: str) -> dict:
     return state
 
 
+def _gelu_planes(scratch: np.ndarray, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two GELU scratch buffers for activation ``like``: the fronts of
+    the two rows of ``scratch`` (shape ``(2, capacity)``), reshaped.  Both
+    are C-contiguous at every batch size and width, so the kernel's
+    ufuncs run as single flat loops instead of one inner loop per row of
+    a strided sub-box."""
+    size, shape = like.size, like.shape
+    return scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+
+
 def _validate_max_batch(value) -> int:
     """Validate a micro-batch capacity before any buffer allocation happens.
 
@@ -215,7 +225,7 @@ class _BlockProgram:
         self.context = np.empty((B, h, seq, hd), dtype=f32)
         self.merged = np.empty((B, seq, D), dtype=f32)
         self.mlp_bufs = [np.empty((B, seq, u), dtype=f32) for u in self.mlp_widths[:-1]]
-        self.gelu_tmp = np.empty((B, seq, max(self.mlp_widths)), dtype=f32)
+        self.gelu_tmp = np.empty((2, B * seq * max(self.mlp_widths)), dtype=f32)
         self.block_out = np.empty((B, seq, self.out_dim), dtype=f32)
         if getattr(self, "_kernel", "naive") == "blocked":
             # Contiguous targets for the two strided-output sites, so the
@@ -264,7 +274,7 @@ class _BlockProgram:
             last = index == len(self.mlp_weights) - 1
             target = out[..., D:] if last else self.mlp_bufs[index][:b]
             dense_(x, w, bias, out=target)
-            gelu_(target, self.gelu_tmp[:b, :, : target.shape[-1]])
+            gelu_(target, *_gelu_planes(self.gelu_tmp, target))
             x = target
         # `out` already holds [attended | transformed] — the concatenation
         # was written in place, no np.concatenate needed.
@@ -316,7 +326,7 @@ class _BlockProgram:
             width = target.shape[-1]
             dense_(x2d, self._mlp_exec[index], bias,
                    out=target.reshape(rows, width))
-            gelu_(target, self.gelu_tmp[:b, :, :width])
+            gelu_(target, *_gelu_planes(self.gelu_tmp, target))
             x2d = target.reshape(rows, width)
         np.copyto(out[..., D:], self.mlp_out[:b])
         return out
@@ -476,7 +486,7 @@ class InferenceSession:
         self._pooled = np.empty((B, self.final_width), dtype=f32)
         head_widths = [w.shape[1] for w, _b in self.head_weights]
         self._head_bufs = [np.empty((B, u), dtype=f32) for u in head_widths]
-        self._head_tmp = np.empty((B, max(head_widths)), dtype=f32)
+        self._head_tmp = np.empty((2, B * max(head_widths)), dtype=f32)
         # Opt-in per-phase profiler (repro.obs.profile.SessionProfiler);
         # scratch-excluded, so restored sessions always start unprofiled.
         self._profiler = getattr(self, "_profiler", None)
@@ -597,7 +607,7 @@ class InferenceSession:
             target = self._head_bufs[index][:b]
             dense_(x2d, w, bias, out=target)
             if index < len(self.head_weights) - 1:
-                gelu_(target, self._head_tmp[:b, : target.shape[-1]])
+                gelu_(target, *_gelu_planes(self._head_tmp, target))
             x2d = target
         if prof is not None:
             prof.lap("head", t0)

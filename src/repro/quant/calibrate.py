@@ -91,7 +91,7 @@ def calibrate_session(
             target = np.empty((b, w.shape[1]), dtype=np.float32)
             dense_(x2d, w, bias, out=target)
             if index < len(session.head_weights) - 1:
-                gelu_(target, np.empty_like(target))
+                gelu_(target, np.empty_like(target), np.empty_like(target))
             x2d = target
         observe("logits", x2d)
 

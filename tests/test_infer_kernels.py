@@ -11,9 +11,11 @@ quantization tolerance of the float32 product.
 
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.infer import (
     GemmPlan,
@@ -34,7 +36,9 @@ from repro.infer.kernels import (
     plan_is_exact,
     quantize_rows_,
 )
-from repro.infer.ops import QuantizedLinear
+from repro.infer.benchmark import check_kernel_gates, default_engine_problems
+from repro.infer.ops import DEFAULT_MATMUL_MODE, QuantizedLinear, gelu_
+from repro.quant import QuantizedSession
 from repro.tensor import no_grad, Tensor
 from repro.vit import VitalConfig, VitalModel
 
@@ -357,3 +361,81 @@ class TestSessionKernelPlumbing:
         session = InferenceSession(_small_model(3), max_batch=2)
         assert session.kernel == "naive"
         assert session.kernel_plans == {}
+
+
+class TestGeluKernel:
+    @staticmethod
+    def _reference(x: np.ndarray) -> np.ndarray:
+        x64 = x.astype(np.float64)
+        return x64 * 0.5 * (1.0 + special.erf(x64 / np.sqrt(2.0)))
+
+    def test_within_1e6_of_float64_erf(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            np.linspace(-12, 12, 100001, dtype=np.float32),
+            rng.standard_normal(50000).astype(np.float32),
+            (4.0 * rng.standard_normal(50000)).astype(np.float32),
+        ])
+        expected = self._reference(x)
+        got = gelu_(x, np.empty_like(x), np.empty_like(x))
+        assert got.dtype == np.float32
+        assert np.abs(got.astype(np.float64) - expected).max() <= 1e-6
+
+    def test_in_place_touches_only_given_scratch(self):
+        """x is overwritten and returned; the two scratch buffers are the
+        only other memory written, and nothing x-sized is allocated."""
+        n, gap = 200_000, 64
+        rng = np.random.default_rng(1)
+        arena = np.full(3 * n + 4 * gap, 7.0, dtype=np.float32)
+        x = arena[gap:gap + n]
+        tmp = arena[2 * gap + n:2 * gap + 2 * n]
+        tmp2 = arena[3 * gap + 2 * n:3 * gap + 3 * n]
+        x[:] = 3.0 * rng.standard_normal(n)
+        expected = self._reference(x)
+        tracemalloc.start()
+        try:
+            out = gelu_(x, tmp, tmp2)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out is x
+        assert np.abs(x - expected).max() <= 1e-6
+        guards = np.concatenate([arena[:gap], arena[gap + n:2 * gap + n],
+                                 arena[2 * gap + 2 * n:3 * gap + 2 * n],
+                                 arena[3 * gap + 3 * n:]])
+        assert (guards == 7.0).all()
+        assert peak < x.nbytes // 8
+
+
+def _engine_record(dequant_tile_ms: float, accumulate_ms: float,
+                   smoke: bool = False) -> dict:
+    return {"quantization": {
+        "config": {"smoke": smoke},
+        "engine": {"latency": {
+            "per_channel_int8_p50_ms": dequant_tile_ms,
+            "per_channel_int8_accumulate_p50_ms": accumulate_ms,
+        }},
+    }}
+
+
+class TestDefaultEngineGate:
+    def test_auto_resolves_to_gated_default(self):
+        session = QuantizedSession(InferenceSession(_small_model(6), max_batch=2),
+                                   mode="int8")
+        assert session.matmul == DEFAULT_MATMUL_MODE == "dequant_tile"
+
+    def test_fails_when_default_engine_records_slower(self):
+        problems = check_kernel_gates(_engine_record(0.51, 0.33))
+        assert len(problems) == 1
+        assert "dequant_tile" in problems[0] and "int8_accumulate" in problems[0]
+
+    def test_passes_when_default_wins_or_record_lacks_lanes(self):
+        assert check_kernel_gates(_engine_record(0.33, 0.51)) == []
+        assert default_engine_problems(_engine_record(0.51, 0.33, smoke=True)) == []
+        assert default_engine_problems({}) == []
+
+    def test_committed_record_passes(self):
+        from repro.infer.benchmark import load_baseline
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        record = load_baseline(os.path.join(root, "BENCH_inference.json"))
+        assert default_engine_problems(record) == []

@@ -180,8 +180,12 @@ class TestQuantizedSnapshots:
 
     def test_matmul_override_on_restore(self, float_session, images):
         """Snapshots record the matmul engine; from_snapshot honours it and
-        accepts an explicit override."""
-        snapshot = QuantizedSession(float_session, mode="int8").snapshot()
+        accepts an explicit override.  ``auto`` records the dequant-tile
+        engine; snapshots that recorded int8_accumulate restore onto it."""
+        default = QuantizedSession(float_session, mode="int8").snapshot()
+        assert default["matmul"] == "dequant_tile"
+        snapshot = QuantizedSession(float_session, mode="int8",
+                                    matmul="int8_accumulate").snapshot()
         assert snapshot["matmul"] == "int8_accumulate"
         restored = QuantizedSession.from_snapshot(snapshot)
         assert restored.matmul == "int8_accumulate"
