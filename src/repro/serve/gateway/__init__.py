@@ -3,13 +3,15 @@
 ``repro.serve`` and ``repro.fleet`` answer in-process ``submit()`` calls;
 real deployments face *devices* — phones POSTing RSSI fingerprint vectors
 over Wi-Fi (the snippet-3 ``Fingerprinter`` loop).  This package puts a
-stdlib-only, selectors-based TCP/HTTP gateway in front of a running
+selectors-based TCP/HTTP gateway (standard library plus numpy, and orjson
+to parse request bodies) in front of a running
 :class:`~repro.serve.LocalizationServer` or
 :class:`~repro.fleet.FleetServer`:
 
 * :mod:`~repro.serve.gateway.protocol` — length-prefixed JSON frames, an
-  incremental decoder hardened against truncation/oversize/garbage, and
-  the structured wire-error vocabulary.
+  incremental decoder hardened against truncation/oversize/garbage/deep
+  nesting, the orjson request parser, and the structured wire-error
+  vocabulary.
 * :mod:`~repro.serve.gateway.server` — the event-loop
   :class:`GatewayServer`: pipelining with out-of-order completion,
   per-connection backpressure windows, slow-reader shedding, idle/request

@@ -22,12 +22,26 @@ and the stream continues at the next frame boundary — a client bug costs
 one error response, not the connection.  Only a frame whose header is
 unparseable garbage has no recoverable boundary; that surfaces as
 ``bad_frame`` and the connection is closed.
+
+Request bodies of both encodings are parsed by :func:`loads`, which uses
+``orjson`` straight from the received bytes (a 24x24x3 DAM image is 1728
+floats, ~30 KB of JSON, and stdlib ``json`` took several times longer on
+it).  Bodies orjson rejects are parsed once more by stdlib ``json``, so
+``NaN`` and ``Infinity`` -- which ``json.dumps`` and therefore Python
+clients emit by default -- still reach request validation and get
+``bad_request`` with their id.  Nesting too deep for either parser is a
+``bad_json`` error like any other undecodable body: a ``RecursionError``
+escaping the decoder would kill the gateway's event-loop thread.
+Integers outside the 64-bit range parse as floats, so request ids must
+fit in 64 bits.  Responses are encoded with stdlib ``json``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+
+import orjson
 
 #: Frame header: 4-byte big-endian payload length.
 HEADER = struct.Struct(">I")
@@ -59,9 +73,32 @@ _HTTP_METHODS = (b"GET ", b"POST", b"HEAD", b"PUT ", b"DELE", b"OPTI")
 
 
 def encode_frame(obj) -> bytes:
-    """One wire frame: length prefix + compact JSON."""
+    """One wire frame: length prefix + compact JSON.
+
+    The bytes are exactly ``json.dumps(obj, separators=(",", ":"))``:
+    perfbench's load generator builds its request frames itself and
+    checks them byte for byte against this function, and other encoders
+    spell some floats differently (orjson writes ``1e-7`` where
+    ``json.dumps`` writes ``1e-07``)."""
     body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     return HEADER.pack(len(body)) + body
+
+
+def loads(body: bytes):
+    """Parse one request body (UTF-8 JSON bytes).
+
+    Raises ``ValueError`` for anything undecodable, including invalid
+    UTF-8 and nesting too deep to parse.  orjson's fast path covers all
+    standard JSON; stdlib ``json`` only runs on bodies orjson rejects
+    (see the module docstring) and its message is the one reported."""
+    try:
+        return orjson.loads(body)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def error_response(request_id, code: str, message: str,
@@ -133,8 +170,8 @@ class FrameDecoder:
             body = bytes(self._buf[HEADER_BYTES : HEADER_BYTES + length])
             del self._buf[: HEADER_BYTES + length]
             try:
-                obj = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as error:
+                obj = loads(body)
+            except ValueError as error:
                 yield ("error", E_BAD_JSON, f"undecodable frame body: {error}")
                 continue
             yield ("msg", obj)

@@ -596,8 +596,8 @@ class GatewayServer:
                 f"no route for {method} {path}"))
             return
         try:
-            obj = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
+            obj = protocol.loads(body)
+        except ValueError as error:
             self.wire_errors += 1
             self._queue_response(conn, protocol.error_response(
                 None, protocol.E_BAD_JSON, f"undecodable body: {error}"))

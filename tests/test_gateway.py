@@ -110,6 +110,14 @@ class TestProtocol:
         assert events[0][:2] == ("error", protocol.E_BAD_JSON)
         assert events[1] == ("msg", {"id": 2})
 
+    def test_encode_frame_bytes_are_stdlib_json(self):
+        # perfbench's load generator compares its frames to these bytes;
+        # orjson would write this value as 1.8762943909678143e-7.
+        obj = {"id": 4, "fingerprint": [0.5, 1.8762943909678143e-07, 1.0]}
+        body = json.dumps(obj, separators=(",", ":")).encode()
+        assert b"e-07" in body
+        assert encode_frame(obj) == struct.pack(">I", len(body)) + body
+
     @pytest.mark.parametrize("obj", [
         [],  # not an object
         {"fingerprint": [1.0]},  # id missing
@@ -292,6 +300,43 @@ class TestWireHardening:
                     assert client.localize(_fingerprint(2))["ok"]
             finally:
                 gateway.close()
+
+    @pytest.mark.parametrize("framing", ["framed", "http"])
+    def test_deeply_nested_body_keeps_gateway_serving(self, session,
+                                                      framing):
+        # stdlib json raises RecursionError on deep nesting; it must come
+        # back as bad_json, not escape into (and kill) the event loop.
+        nested = b"[" * 100_000
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=1.0) as server:
+            gateway = GatewayServer(server, cache_entries=0).start()
+            try:
+                if framing == "framed":
+                    with GatewayClient(gateway.host, gateway.port,
+                                       timeout=10.0) as client:
+                        client.send_raw(struct.pack(">I", len(nested))
+                                        + nested)
+                        error = client.next_response()
+                        assert error["error"]["code"] == "bad_json"
+                        assert client.localize(_fingerprint(6))["ok"]
+                else:
+                    import http.client
+
+                    conn = http.client.HTTPConnection(
+                        gateway.host, gateway.port, timeout=10.0)
+                    try:
+                        conn.request("POST", "/localize", body=nested)
+                        reply = conn.getresponse()
+                        assert reply.status == 400
+                        assert json.loads(reply.read())["error"]["code"] \
+                            == "bad_json"
+                    finally:
+                        conn.close()
+                    response = http_localize(gateway.host, gateway.port,
+                                             _fingerprint(6), timeout=10.0)
+                    assert response["ok"]
+            finally:
+                gateway.close(timeout=5.0)
 
     def test_truncated_frame_then_disconnect(self, stack):
         _server, gateway = stack
