@@ -1,22 +1,13 @@
-"""Kernel-layer smoke and record validation for the fused engine.
+"""Record validation for the ``kernels`` section of ``BENCH_inference.json``.
 
-Two modes over the v3 ``kernels`` section of ``BENCH_inference.json``:
-
-* ``--smoke`` — build a fresh session at the benchmark geometry, run the
-  kernel micro-benchmark in quick mode (30-iteration medians) and assert
-  the bit-exactness contracts: every admitted blocked GEMM plan matches
-  the monolithic matmul bit-for-bit, and the int8-accumulate engine
-  matches the integer reference matmul.  Timing numbers are printed but
-  never gated — CI noise would gate nothing real.
-* ``--check`` — validate the *committed* record without re-timing
-  anything: the schema must be v3 with a ``kernels`` section present,
-  and :func:`repro.infer.benchmark.check_kernel_gates` must pass (the
-  exactness flags, plus — on full records — the int8-resident hot-GEMM
-  speedup floor and the blocked-vs-naive fused bound).
+``--check`` validates the *committed* record without re-timing anything:
+the schema must be v3 with a ``kernels`` section present, and
+:func:`repro.infer.benchmark.check_kernel_gates` must pass (on full
+records, the int8-resident hot-GEMM speedup floor).  A fresh timing of
+the same lane runs in ``python -m repro.cli infer-bench --quick``.
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --check
 """
 
@@ -24,60 +15,14 @@ import argparse
 import os
 import sys
 
-# Pin the BLAS/OpenMP pool to one thread before NumPy loads: kernel
-# medians compare lanes against each other, and a thread pool sized to
-# the host would fold machine topology into the recorded ratios.
-for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_key, "1")
-
-import numpy as np
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 from repro.infer.benchmark import (
     SCHEMA,
     check_kernel_gates,
     format_kernel_summary,
-    kernel_microbench,
     load_baseline,
 )
-from repro.infer.session import InferenceSession
-from repro.vit.config import VitalConfig
-from repro.vit.model import VitalModel
-
-
-def _bench_session(image_size: int = 24, num_classes: int = 32,
-                   max_batch: int = 32, seed: int = 0) -> InferenceSession:
-    """A fresh blocked-kernel session at the recorded bench geometry."""
-    rng = np.random.default_rng(seed)
-    model = VitalModel(
-        VitalConfig.fast(image_size),
-        image_size=image_size,
-        channels=3,
-        num_classes=num_classes,
-        rng=rng,
-    )
-    return InferenceSession(model, max_batch=max_batch, kernel="blocked")
-
-
-def run_smoke(seed: int = 0, verbose: bool = True) -> dict:
-    """Quick micro-bench; returns the ``kernels`` record.
-
-    Raises ``AssertionError`` if either bit-exactness contract is broken
-    — the only thing a smoke run can assert under CI noise.
-    """
-    session = _bench_session(seed=seed)
-    kernels = kernel_microbench(session, seed=seed, quick=True)
-    if verbose:
-        print(format_kernel_summary(kernels))
-    exact = kernels["exactness"]
-    assert exact["blocked_matches_monolithic"], (
-        "blocked GEMM diverged from the monolithic matmul on an admitted plan"
-    )
-    assert exact["accumulate_matches_reference"], (
-        "int8-accumulate engine diverged from the integer reference matmul"
-    )
-    return kernels
 
 
 def run_check(path: str | None = None, verbose: bool = True) -> list[str]:
@@ -111,28 +56,15 @@ def run_check(path: str | None = None, verbose: bool = True) -> list[str]:
     return problems
 
 
-def test_kernel_exactness_smoke():
-    """CI gate: both kernel-layer bit-exactness contracts hold on a
-    freshly built session."""
-    run_smoke(verbose=False)
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick micro-bench + exactness assertions on a "
-                             "fresh session")
     parser.add_argument("--check", action="store_true",
                         help="validate the committed BENCH_inference.json "
                              "kernels section without re-timing")
     parser.add_argument("--bench", default=None,
                         help="record path for --check "
                              "(default: <repo>/BENCH_inference.json)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if not (args.smoke or args.check):
-        parser.error("pick at least one of --smoke / --check")
-    if args.smoke:
-        run_smoke(seed=args.seed)
-    if args.check:
-        sys.exit(1 if run_check(args.bench) else 0)
+    if not args.check:
+        parser.error("pass --check")
+    sys.exit(1 if run_check(args.bench) else 0)

@@ -70,9 +70,6 @@ def test_quantization_tradeoff():
     vital = record["accuracy"]["frameworks"]["VITAL"]
     gate_m = max(0.5, 0.15 * vital["float32_mean_error_m"])
     assert vital["per_channel_delta_m"] <= gate_m
-    # The int8-accumulate engine (dynamic activation quantization) must
-    # hold the same accuracy-delta gate as the dequant arms.
-    assert vital["per_channel_int8_accumulate_delta_m"] <= gate_m
 
 
 if __name__ == "__main__":

@@ -83,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="batch-throughput workload size")
     bench.add_argument("--quick", action="store_true",
                        help="smoke mode: shrink iteration counts to run in seconds")
-    bench.add_argument("--kernel", default="auto",
-                       choices=("auto", "blocked", "naive"),
-                       help="GEMM layer for the fused lane (auto resolves to "
-                            "the product default, honoring REPRO_KERNEL); the "
-                            "kernels section always measures both")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default="BENCH_inference.json",
                        help="result JSON path (default: BENCH_inference.json)")
@@ -576,7 +571,6 @@ def _cmd_infer_bench(args) -> int:
         batch_samples=args.samples,
         seed=args.seed,
         quick=args.quick,
-        kernel=args.kernel,
     )
     print(format_summary(result))
     if args.check:

@@ -6,7 +6,10 @@ contiguous float32 weights:
 
 * :class:`InferenceSession` — the dedicated ViT engine: packed Q/K/V
   matmul, LayerNorm affine folding, cached patch gather grid, preallocated
-  scratch buffers, micro-batched ``predict_many``.
+  scratch buffers, micro-batched ``predict_many``.  Every dense site is
+  one ``np.matmul`` over token panels folded to 2-D; int8-resident
+  weights (:class:`QuantizedLinear`) cast cache-sized panels
+  (:func:`tune_quant_tile`) inside that matmul.
 * :func:`compile_module` / :func:`compile_chain` — a generic compiler for
   sequential dense stacks (the neural baselines).
 * :func:`run_inference_benchmark` — the latency/throughput benchmark
@@ -31,17 +34,7 @@ from repro.infer.compile import (
     compile_chain,
     compile_module,
 )
-from repro.infer.kernels import (
-    KERNELS,
-    GemmPlan,
-    PackedWeight,
-    autotune_gemm,
-    clear_plan_cache,
-    gemm_into,
-    resolve_kernel,
-    tune_quant_tile,
-)
-from repro.infer.ops import MATMUL_MODES, QuantizedLinear
+from repro.infer.ops import QuantizedLinear, tune_quant_tile
 from repro.infer.session import (
     SNAPSHOT_FORMAT,
     InferenceSession,
@@ -55,14 +48,6 @@ __all__ = [
     "restore_session",
     "snapshot_info",
     "QuantizedLinear",
-    "MATMUL_MODES",
-    "GemmPlan",
-    "PackedWeight",
-    "KERNELS",
-    "gemm_into",
-    "autotune_gemm",
-    "clear_plan_cache",
-    "resolve_kernel",
     "tune_quant_tile",
     "CompiledModule",
     "UnsupportedModuleError",

@@ -13,7 +13,7 @@ recorded trajectory to regress against.  Schema (``repro.infer.bench.v3``)::
 
     {
       "schema": "repro.infer.bench.v3",
-      "config": {model geometry, iteration counts, seed, kernel, threads},
+      "config": {model geometry, iteration counts, seed, threads},
       "single_sample": {
         "tape"|"no_grad"|"fused": {"p50_ms", "p99_ms", "mean_ms"},
         "speedup_fused_vs_tape": float,   # acceptance floor: >= 3.0
@@ -23,16 +23,16 @@ recorded trajectory to regress against.  Schema (``repro.infer.bench.v3``)::
       "equivalence": {"max_abs_diff", "argmax_match"},
       "quantization": {...},  # v2: repro.quant trade-off record
                               # (benchmarks/bench_quantization.py)
-      "kernels": {...}        # v3: kernel-layer micro-benchmark
-                              # (see kernel_microbench)
+      "kernels": {...}        # v3: int8-resident GEMM stack vs the
+                              # frozen PR-3 baseline (kernel_microbench)
     }
 
 v2 adds the optional ``quantization`` section over v1; v3 adds the
-``kernels`` section (per-shape GEMM micro-bench, fused blocked-vs-naive
-A/B, int8-resident throughput vs the PR-3 dequant-tile baseline, and the
-bit-exactness flags).  The regression gate reads the shared keys of
-whatever sections a record carries, so ``--check`` accepts all three
-versions as baselines.
+``kernels`` section.  Records written before the engine was collapsed
+onto one path also carry per-shape GEMM plans, a blocked-vs-naive fused
+A/B and bit-exactness flags there; nothing reads them any more.  The
+regression gate reads the shared keys of whatever sections a record
+carries, so ``--check`` accepts all three versions as baselines.
 """
 
 from __future__ import annotations
@@ -43,16 +43,7 @@ import time
 
 import numpy as np
 
-from repro.infer.kernels import (
-    autotune_gemm,
-    gemm_into,
-    int8_accumulate_reference,
-    pack_panels,
-    plan_is_exact,
-    quantize_rows_,
-    tune_quant_tile,
-)
-from repro.infer.ops import DEFAULT_MATMUL_MODE, MATMUL_MODES, QuantizedLinear
+from repro.infer.ops import QuantizedLinear
 from repro.infer.session import InferenceSession
 from repro.tensor import Tensor, no_grad
 from repro.vit.config import VitalConfig
@@ -73,14 +64,6 @@ COMPATIBLE_SCHEMAS = (
 #: dequant-tile baseline configuration, gated by ``infer-bench --check``
 #: on full (non-quick) records.
 INT8_SPEEDUP_FLOOR = 1.5
-
-#: ``quantization.engine.latency`` lane of each int8-resident matmul
-#: engine at the default (per-channel) scheme; the lineage lane
-#: ``per_channel_int8`` is the dequant-tile engine.
-ENGINE_LATENCY_LANES = {
-    "dequant_tile": "per_channel_int8_p50_ms",
-    "int8_accumulate": "per_channel_int8_accumulate_p50_ms",
-}
 
 #: Environment knobs that size the BLAS/OpenMP thread pool; recorded in
 #: the bench ``config`` block so a record states the thread configuration
@@ -114,23 +97,6 @@ def _time_repeated(fn, iterations: int, warmup: int = 3) -> list[float]:
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
     return samples
-
-
-def _percentile_pair(samples_ms: list[float]) -> tuple[float, float]:
-    arr = np.asarray(samples_ms)
-    return float(np.percentile(arr, 50)), float(np.percentile(arr, 95))
-
-
-def _time_us(fn, iterations: int, warmup: int = 5) -> float:
-    """Median per-call microseconds of ``fn`` over ``iterations`` calls."""
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(iterations):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1e6)
-    return float(np.median(samples))
 
 
 def _time_lanes_us(lanes: dict, iterations: int, rounds: int = 3) -> dict:
@@ -194,165 +160,81 @@ def _quantize_weight(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, scales
 
 
-def _session_gemm_sites(session: InferenceSession) -> list[tuple[str, int, int, int]]:
-    """``(site, m, k, n)`` for every distinct encoder GEMM of a session,
-    at the single-sample folded shape (``m = num_patches``) — the same
-    shapes :meth:`InferenceSession._tune_plans` tunes."""
-    rows = session.num_patches
-    patch_dim = session.patch_grid.shape[1]
-    sites = [("embed", rows, patch_dim, session.w_embed.shape[1])]
-    if session.blocks:
-        block = session.blocks[0]
-        sites.append(("qkv", rows, block.w_qkv.shape[0], block.w_qkv.shape[1]))
-        sites.append(("attn_out", rows, block.w_out.shape[0], block.w_out.shape[1]))
-        for index, (w, _bias) in enumerate(block.mlp_weights):
-            sites.append((f"mlp{index}", rows, w.shape[0], w.shape[1]))
-    return sites
-
-
-#: Fixed reference shapes for the float32 GEMM micro-bench, beyond the
-#: session's own sites: the ``predict_many`` chunk fold (max_batch=32 x
-#: 36 patches) and a square shape large enough for row/column blocking
-#: to engage on small caches.
-_GEMM_REFERENCE_SHAPES = (("chunk_qkv", 1152, 60, 180), ("large", 512, 256, 256))
-
 #: PR-3 fixed decode-tile width — the int8-resident baseline configuration.
 _BASELINE_QUANT_TILE = 64
 
 
 def kernel_microbench(session: InferenceSession, *, iters: int = 300,
                       seed: int = 0, quick: bool = False) -> dict:
-    """Kernel-layer micro-benchmark → the ``kernels`` section (schema v3).
+    """Int8-resident GEMM micro-benchmark → the ``kernels`` section (v3).
 
-    Three experiments over the session's own GEMM sites:
-
-    * ``gemm`` — float32 ``gemm_into`` under the autotuned plan vs the
-      monolithic ``np.matmul`` call, per shape (plus fixed larger
-      reference shapes where blocking engages).  Informational: admitted
-      plans are bit-exact, so this only shows where blocking pays.
-    * ``int8_resident`` — the quantized GEMM stack (every encoder site
-      served int8-resident) in three configurations: the PR-3 baseline
-      (the frozen :func:`_pr3_dequant_reference` — 64-column
-      decode-multiply tile loop over batched 3-D activations, exactly
-      the predecessor's algorithm), the tuned dequant-tile engine
-      (cache-budgeted panel, cast + scale-after-matmul, activations
-      folded 2-D — how the blocked kernel executes), and the
-      int8-accumulate engine.  Lanes are timed interleaved with
-      min-of-rounds medians (see :func:`_time_lanes_us`).  The headline
-      ``speedup`` is measured on the *hot site* — the engine's largest
-      quantized GEMM (packed QKV), where the serving cycles concentrate
-      — as baseline time over the best int8-resident engine; the
-      whole-stack ratio is recorded alongside as ``stack_speedup``
-      (small ``N <= tile`` sites have no panel to widen, so the stack
-      ratio is structurally lower).  The ``--check`` gate requires
-      ``speedup`` >= :data:`INT8_SPEEDUP_FLOOR` on full records.
-    * ``exactness`` — the autotuner's bit-exactness contract re-verified
-      on every admitted plan, and the int8-accumulate engine checked
-      bit-for-bit against the integer reference matmul.
+    Every encoder GEMM site of ``session`` (the non-head sites of
+    :meth:`InferenceSession.gemm_sites`, at the single-sample folded
+    shape) is served int8-resident in two configurations: the PR-3
+    baseline (the frozen :func:`_pr3_dequant_reference` — 64-column
+    decode-multiply tile loop over batched 3-D activations, exactly the
+    predecessor's algorithm) and :class:`QuantizedLinear` as the engine
+    runs it (cache-budgeted panel, cast + scale-after-matmul, activations
+    folded 2-D).  Lanes are timed interleaved with min-of-rounds medians
+    (see :func:`_time_lanes_us`).  The headline ``speedup`` is measured
+    on the *hot site* — the largest quantized GEMM (packed QKV), where
+    the serving cycles concentrate — as baseline over tuned time; the
+    whole-stack ratio is recorded alongside as ``stack_speedup`` (small
+    ``N <= tile`` sites have no panel to widen, so the stack ratio is
+    structurally lower).  The ``--check`` gate requires ``speedup`` >=
+    :data:`INT8_SPEEDUP_FLOOR` on full records.
     """
     rounds = 2 if quick else 3
     if quick:
         iters = min(iters, 30)
     rng = np.random.default_rng(seed)
-    sites = _session_gemm_sites(session)
-    plans = {site: autotune_gemm(m, k, n) for site, m, k, n in sites}
+    sites = [site for site in session.gemm_sites() if site["m"] is not None]
 
-    # --- float32 GEMM micro-bench: tuned plan vs monolithic, per shape
-    gemm_rows = []
-    blocked_exact = True
-    for site, m, k, n in sites + [shape for shape in _GEMM_REFERENCE_SHAPES]:
-        # session sites report the plan sessions actually bind (the
-        # 2-iteration compile-time tuning); the fixed reference shapes
-        # afford a more careful uncached tuning pass
-        plan = plans.get(site) or autotune_gemm(m, k, n, iters=8, cache=False)
-        x = rng.standard_normal((m, k)).astype(np.float32)
-        w = rng.standard_normal((k, n)).astype(np.float32)
-        out = np.empty((m, n), np.float32)
-        panels = pack_panels(w, plan.nb) if plan.nb else None
-        blocked_exact &= plan_is_exact(m, k, n, plan, panels, probe=(x, w))
-        mono_us = _time_us(lambda: np.matmul(x, w, out=out), iters)
-        plan_us = _time_us(lambda: gemm_into(x, w, out, plan, panels), iters)
-        gemm_rows.append({
-            "site": site, "m": m, "k": k, "n": n,
-            "plan": plan.as_dict() if plan.blocked else "monolithic",
-            "monolithic_us": mono_us,
-            "blocked_us": plan_us,
-            "speedup": mono_us / plan_us if plan_us else 1.0,
-        })
-
-    # --- int8-resident stack: frozen PR-3 reference vs the kernel layer
-    int8_rows = []
-    totals = {"baseline": 0.0, "tuned": 0.0, "accumulate": 0.0}
-    accumulate_exact = True
+    rows = []
+    totals = {"baseline": 0.0, "tuned": 0.0}
     hot = None
-    for site, m, k, n in sites:
+    for site in sites:
+        m, k, n = site["m"], site["k"], site["n"]
         w = rng.standard_normal((k, n)).astype(np.float32)
         codes, scales = _quantize_weight(w)
-        tuned_tile = tune_quant_tile(k, n)
-        tuned = QuantizedLinear(codes, scales, tile=tuned_tile)
-        accumulate = QuantizedLinear(codes, scales, tile=tuned_tile,
-                                     matmul_mode="int8_accumulate")
+        tuned = QuantizedLinear(codes, scales)
         baseline = _pr3_dequant_reference(codes, scales,
                                           tile=_BASELINE_QUANT_TILE)
         x2 = rng.standard_normal((m, k)).astype(np.float32)
-        # the PR-3 engine sees batched 3-D activations; the blocked
-        # kernel folds them to 2-D rows before the call
+        # the PR-3 engine sees batched 3-D activations; the fused engine
+        # folds them to 2-D rows before the call
         x3 = np.ascontiguousarray(x2.reshape(1, m, k))
         o2 = np.empty((m, n), np.float32)
         o3 = np.empty((1, m, n), np.float32)
         timed = _time_lanes_us({
             "baseline": lambda: baseline(x3, o3),
             "tuned": lambda: tuned.matmul_into(x2, o2),
-            "accumulate": lambda: accumulate.matmul_into(x2, o2),
         }, iters, rounds=rounds)
-        row = {"site": site, "m": m, "k": k, "n": n,
-               "baseline_tile": _BASELINE_QUANT_TILE, "tuned_tile": tuned_tile,
+        row = {"site": site["site"], "m": m, "k": k, "n": n,
+               "baseline_tile": _BASELINE_QUANT_TILE, "tuned_tile": tuned.tile,
                **{f"{lane}_us": lane_us for lane, lane_us in timed.items()}}
         for lane, lane_us in timed.items():
             totals[lane] += lane_us
-        int8_rows.append(row)
+        rows.append(row)
         if hot is None or k * n > hot["k"] * hot["n"]:
             hot = row
-        # bit-exactness of the accumulate engine vs the integer reference
-        q = np.empty((m, k), np.float32)
-        row_scales = np.empty((m, 1), np.float32)
-        quantize_rows_(x2, q, row_scales)
-        reference = int8_accumulate_reference(q, codes, scales, row_scales)
-        out = np.empty((m, n), np.float32)
-        accumulate.matmul_into(x2, out)
-        accumulate_exact &= bool(np.array_equal(reference, out))
 
-    hot_best_us = min(hot["tuned_us"], hot["accumulate_us"])
     int8_resident = {
-        "sites": int8_rows,
+        "sites": rows,
         "hot_site": hot["site"],
         "hot_shape": [hot["m"], hot["k"], hot["n"]],
         "hot_baseline_rows_per_s": hot["m"] * 1e6 / hot["baseline_us"],
-        "hot_tuned_rows_per_s": hot["m"] * 1e6 / hot_best_us,
-        "speedup": hot["baseline_us"] / hot_best_us,
+        "hot_tuned_rows_per_s": hot["m"] * 1e6 / hot["tuned_us"],
+        "speedup": hot["baseline_us"] / hot["tuned_us"],
         "stack_baseline_us": totals["baseline"],
         "stack_tuned_us": totals["tuned"],
-        "stack_accumulate_us": totals["accumulate"],
         "stack_speedup": totals["baseline"] / totals["tuned"],
-        "accumulate_vs_baseline": totals["baseline"] / totals["accumulate"],
         "baseline_config": "PR-3 reference: 64-column decode-multiply tile "
                            "loop, batched 3-D activations",
-        "tuned_config": "blocked kernel: cache-budgeted panel, cast + "
+        "tuned_config": "fused engine: cache-budgeted panel, cast + "
                         "scale-after-matmul, activations folded 2-D",
     }
-
-    return {
-        "kernel": session.kernel,
-        "plans": {site: plan.as_dict() if plan.blocked else "monolithic"
-                  for site, plan in plans.items()},
-        "gemm": gemm_rows,
-        "int8_resident": int8_resident,
-        "exactness": {
-            "blocked_matches_monolithic": bool(blocked_exact),
-            "accumulate_matches_reference": bool(accumulate_exact),
-        },
-        "iters": iters,
-    }
+    return {"int8_resident": int8_resident, "iters": iters}
 
 
 def run_inference_benchmark(
@@ -364,15 +246,11 @@ def run_inference_benchmark(
     seed: int = 0,
     quick: bool = False,
     config: VitalConfig | None = None,
-    kernel: str = "auto",
 ) -> dict:
     """Benchmark the three serving lanes; returns the result record.
 
     ``quick=True`` shrinks iteration counts so the benchmark runs in
     seconds (CI smoke mode) while keeping the full measurement shape.
-    ``kernel`` selects the fused lane's GEMM layer (``auto`` resolves to
-    the product default, honoring ``REPRO_KERNEL``); the ``kernels``
-    section always measures both layers regardless.
     """
     if quick:
         single_iters = min(single_iters, 10)
@@ -387,7 +265,7 @@ def run_inference_benchmark(
         num_classes=num_classes,
         rng=rng,
     )
-    session = InferenceSession(model, max_batch=max_batch, kernel=kernel)
+    session = InferenceSession(model, max_batch=max_batch)
 
     single = rng.standard_normal((1, image_size, image_size, 3)).astype(np.float32)
     batch = rng.standard_normal((batch_samples, image_size, image_size, 3)).astype(np.float32)
@@ -441,24 +319,6 @@ def run_inference_benchmark(
     tape_s = np.median(_time_repeated(tape_batch, batch_iters, warmup=1)) / 1e3
     fused_s = np.median(_time_repeated(fused_batch, batch_iters, warmup=1)) / 1e3
 
-    # --- kernel layer: per-shape GEMM + int8 stack + fused A/B (v3)
-    kernels = kernel_microbench(session, seed=seed, quick=quick)
-    ab_sessions = {
-        "naive": session if session.kernel == "naive"
-        else InferenceSession(model, max_batch=max_batch, kernel="naive"),
-        "blocked": session if session.kernel == "blocked"
-        else InferenceSession(model, max_batch=max_batch, kernel="blocked"),
-    }
-    fused_ab = {}
-    for lane, candidate in ab_sessions.items():
-        p50, p95 = _percentile_pair(_time_repeated(
-            lambda s=candidate: s.predict(single), single_iters
-        ))
-        fused_ab[f"{lane}_p50_ms"] = p50
-        fused_ab[f"{lane}_p95_ms"] = p95
-    fused_ab["speedup"] = fused_ab["naive_p50_ms"] / fused_ab["blocked_p50_ms"]
-    kernels["fused"] = fused_ab
-
     result = {
         "schema": SCHEMA,
         "config": {
@@ -475,7 +335,6 @@ def run_inference_benchmark(
             "batch_samples": batch_samples,
             "seed": seed,
             "quick": quick,
-            "kernel": session.kernel,
             "threads": thread_config(),
         },
         "single_sample": single_sample,
@@ -489,7 +348,7 @@ def run_inference_benchmark(
             "max_abs_diff": max_abs_diff,
             "argmax_match": argmax_match,
         },
-        "kernels": kernels,
+        "kernels": kernel_microbench(session, seed=seed, quick=quick),
     }
     return result
 
@@ -553,13 +412,8 @@ def check_regression(
     different model geometry than the baseline are refused — comparing
     them would let a real regression hide behind a smaller model.
 
-    v3 results additionally gate their own ``kernels`` section: the
-    bit-exactness flags must hold on every run, and full (non-quick)
-    runs must keep the int8-resident hot-GEMM speedup at least
-    :data:`INT8_SPEEDUP_FLOOR` over the PR-3 reference and the blocked
-    fused lane no slower than naive (within ``threshold``).  Quick runs
-    skip the two timing gates — 30-iteration medians under CI noise
-    would gate nothing real.
+    v3 results additionally gate their own ``kernels`` section
+    (:func:`check_kernel_gates`).
     """
     problems: list[str] = []
     incomparable = _incomparability(result, baseline)
@@ -579,78 +433,29 @@ def check_regression(
         problems.append(
             f"fused max|Δlogit| {result['equivalence']['max_abs_diff']:.2e} >= 1e-5"
         )
-    problems.extend(check_kernel_gates(result, threshold=threshold))
+    problems.extend(check_kernel_gates(result))
     return problems
 
 
-def check_kernel_gates(result: dict, threshold: float = REGRESSION_THRESHOLD) -> list[str]:
+def check_kernel_gates(result: dict) -> list[str]:
     """Gate a record's own ``kernels`` section (empty list = pass).
 
     Shared by ``infer-bench --check`` and ``bench_kernels.py --check``
-    (which validates the committed record without re-timing).  Records
-    without a ``kernels`` section (v1/v2) pass vacuously.  A full
-    ``quantization`` section additionally gates the default int8 engine
-    (:func:`default_engine_problems`).
+    (which validates the committed record without re-timing).  Full
+    (non-quick) records must keep the int8-resident hot-GEMM speedup at
+    least :data:`INT8_SPEEDUP_FLOOR` over the PR-3 reference.  Quick runs
+    and records without a ``kernels`` section (v1/v2) pass — 30-iteration
+    medians under CI noise would gate nothing real.
     """
-    problems = default_engine_problems(result)
-    kernels = result.get("kernels")
-    if not kernels:
-        return problems
-    exactness = kernels.get("exactness", {})
-    if not exactness.get("blocked_matches_monolithic", True):
-        problems.append(
-            "blocked GEMM no longer bit-identical to the monolithic matmul "
-            "on an admitted plan"
-        )
-    if not exactness.get("accumulate_matches_reference", True):
-        problems.append(
-            "int8-accumulate engine no longer bit-identical to the integer "
-            "reference matmul"
-        )
     if result.get("config", {}).get("quick"):
-        return problems
-    speedup = kernels.get("int8_resident", {}).get("speedup")
+        return []
+    speedup = (result.get("kernels") or {}).get("int8_resident", {}).get("speedup")
     if speedup is not None and speedup < INT8_SPEEDUP_FLOOR:
-        problems.append(
+        return [
             f"int8-resident hot-GEMM speedup {speedup:.2f}x < "
             f"{INT8_SPEEDUP_FLOOR}x floor vs the PR-3 dequant-tile baseline"
-        )
-    fused = kernels.get("fused", {})
-    naive_p50 = fused.get("naive_p50_ms")
-    blocked_p50 = fused.get("blocked_p50_ms")
-    if naive_p50 and blocked_p50 and blocked_p50 > naive_p50 * (1.0 + threshold):
-        problems.append(
-            f"blocked fused p50 {blocked_p50:.3f} ms slower than naive "
-            f"{naive_p50:.3f} ms (> +{threshold:.0%})"
-        )
-    return problems
-
-
-def default_engine_problems(result: dict) -> list[str]:
-    """Fail when the engine ``matmul="auto"`` resolves to
-    (:data:`repro.infer.ops.DEFAULT_MATMUL_MODE`) has a higher recorded
-    per-channel single-sample p50 than the other int8-resident engine.
-
-    Reads the record's ``quantization.engine.latency`` lanes only; a
-    record without them, or a smoke-mode quantization section, passes.
-    """
-    quant = result.get("quantization") or {}
-    if quant.get("config", {}).get("smoke"):
-        return []
-    latency = quant.get("engine", {}).get("latency", {})
-    default_p50 = latency.get(ENGINE_LATENCY_LANES[DEFAULT_MATMUL_MODE])
-    if default_p50 is None:
-        return []
-    problems = []
-    for engine in MATMUL_MODES:
-        p50 = latency.get(ENGINE_LATENCY_LANES[engine])
-        if engine != DEFAULT_MATMUL_MODE and p50 is not None and default_p50 > p50:
-            problems.append(
-                f"default int8 engine {DEFAULT_MATMUL_MODE!r} (matmul='auto') "
-                f"records {default_p50:.3f} ms p50, slower than {engine!r} at "
-                f"{p50:.3f} ms"
-            )
-    return problems
+        ]
+    return []
 
 
 def baseline_hint(result: dict, path: str = DEFAULT_OUTPUT) -> str:
@@ -744,38 +549,14 @@ def format_summary(result: dict) -> str:
 def format_kernel_summary(kernels: dict) -> str:
     """Human-readable summary of a ``kernels`` section (schema v3)."""
     int8 = kernels["int8_resident"]
-    fused = kernels.get("fused", {})
-    exact = kernels["exactness"]
     hot_m, hot_k, hot_n = int8["hot_shape"]
-    lines = [
-        f"  kernel layer ({kernels['kernel']}):",
-        f"    int8 hot GEMM ({int8['hot_site']} {hot_m}x{hot_k}x{hot_n}): "
+    return "\n".join([
+        "  int8-resident GEMMs vs the PR-3 baseline:",
+        f"    hot GEMM ({int8['hot_site']} {hot_m}x{hot_k}x{hot_n}): "
         f"{int8['hot_baseline_rows_per_s']:.0f} -> "
         f"{int8['hot_tuned_rows_per_s']:.0f} rows/s "
         f"({int8['speedup']:.2f}x, floor {INT8_SPEEDUP_FLOOR}x)",
-        f"    int8 stack: baseline {int8['stack_baseline_us']:.0f} us | "
-        f"tuned {int8['stack_tuned_us']:.0f} us | "
-        f"accumulate {int8['stack_accumulate_us']:.0f} us "
+        f"    stack: baseline {int8['stack_baseline_us']:.0f} us | "
+        f"tuned {int8['stack_tuned_us']:.0f} us "
         f"({int8['stack_speedup']:.2f}x)",
-    ]
-    if fused:
-        lines.append(
-            f"    fused p50: naive {fused['naive_p50_ms']:.3f} ms | "
-            f"blocked {fused['blocked_p50_ms']:.3f} ms "
-            f"({fused['speedup']:.2f}x)"
-        )
-    activated = [row for row in kernels.get("gemm", [])
-                 if row["plan"] != "monolithic"]
-    if activated:
-        lines.append(
-            "    blocked plans active: "
-            + ", ".join(
-                f"{row['site']} ({row['m']}x{row['k']}x{row['n']}: "
-                f"{row['speedup']:.2f}x)" for row in activated
-            )
-        )
-    lines.append(
-        f"    exactness: blocked=monolithic {exact['blocked_matches_monolithic']}, "
-        f"accumulate=reference {exact['accumulate_matches_reference']}"
-    )
-    return "\n".join(lines)
+    ])

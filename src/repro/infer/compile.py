@@ -23,15 +23,10 @@ import numpy as np
 from scipy import special as _special
 
 from repro import nn
-from repro.infer.kernels import PackedWeight, autotune_gemm
 from repro.infer.ops import contiguous_f32, fold_norm_into_dense, softmax_
 from repro.infer.session import _validate_max_batch
 
 _Op = Callable[[np.ndarray], np.ndarray]
-
-#: Row count the blocked-kernel dense ops are tuned for — the default
-#: ``predict_many`` chunk, i.e. the server-style batch shape.
-_TUNE_ROWS = 256
 
 
 class UnsupportedModuleError(TypeError):
@@ -104,22 +99,7 @@ def _activation_op(layer: nn.Module) -> _Op | None:
     return None
 
 
-def _dense_op(weight: np.ndarray, bias: np.ndarray | None,
-              kernel: str = "naive") -> _Op:
-    if kernel == "blocked":
-        weight = contiguous_f32(weight)
-        plan = autotune_gemm(_TUNE_ROWS, weight.shape[0], weight.shape[1])
-        packed = PackedWeight(weight, plan)
-
-        def blocked(x: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(x, dtype=np.float32)
-            out = np.empty(x.shape[:-1] + (weight.shape[1],), dtype=np.float32)
-            packed.matmul_into(x, out)
-            if bias is not None:
-                out += bias
-            return out
-
-        return blocked
+def _dense_op(weight: np.ndarray, bias: np.ndarray | None) -> _Op:
     if bias is None:
         return lambda x: x @ weight
     return lambda x: x @ weight + bias
@@ -246,14 +226,9 @@ class CompiledModule:
         return f"CompiledModule({self.source}, ops={len(self._ops)})"
 
 
-def compile_chain(modules: Iterable[nn.Module], source: str = "chain",
-                  kernel: str = "naive") -> CompiledModule:
-    """Compile an explicit sequence of modules applied one after another.
-
-    ``kernel="blocked"`` routes every dense op through a pre-packed,
-    autotuned :func:`repro.infer.kernels.gemm_into` layout (tuned for the
-    default ``predict_many`` chunk); the default ``"naive"`` keeps the
-    plain ``x @ w`` closures."""
+def compile_chain(modules: Iterable[nn.Module],
+                  source: str = "chain") -> CompiledModule:
+    """Compile an explicit sequence of modules applied one after another."""
     leaves: list[nn.Module] = []
     for module in modules:
         leaves.extend(_flatten(module))
@@ -266,8 +241,7 @@ def compile_chain(modules: Iterable[nn.Module], source: str = "chain",
             index += 1
             continue
         if isinstance(layer, Residual):
-            inner = compile_chain(layer.modules, source=f"{source}.residual",
-                                  kernel=kernel)
+            inner = compile_chain(layer.modules, source=f"{source}.residual")
             ops.append(lambda x, _inner=inner: x + _inner.predict(x))
             index += 1
             continue
@@ -291,7 +265,6 @@ def compile_chain(modules: Iterable[nn.Module], source: str = "chain",
             ops.append(_dense_op(
                 contiguous_f32(layer.weight.data),
                 contiguous_f32(layer.bias.data) if layer.bias is not None else None,
-                kernel=kernel,
             ))
             index += 1
             continue
@@ -325,7 +298,7 @@ def compile_chain(modules: Iterable[nn.Module], source: str = "chain",
                     following.bias.data if following.bias is not None else None,
                 )
                 ops.append(_affine_free_norm_op(layer.eps))
-                ops.append(_dense_op(w, b, kernel=kernel))
+                ops.append(_dense_op(w, b))
                 index += 2
             elif isinstance(following, nn.MultiHeadSelfAttention):
                 ops.append(_affine_free_norm_op(layer.eps))
@@ -353,7 +326,7 @@ def compile_chain(modules: Iterable[nn.Module], source: str = "chain",
                     following.weight.data,
                     following.bias.data if following.bias is not None else None,
                 )
-                ops.append(_dense_op(w, b, kernel=kernel))
+                ops.append(_dense_op(w, b))
                 index += 2
             else:
                 ops.append(_dense_op_affine(contiguous_f32(scale), contiguous_f32(shift)))
@@ -378,6 +351,6 @@ def _dense_op_affine(scale: np.ndarray, shift: np.ndarray) -> _Op:
     return lambda x: x * scale + shift
 
 
-def compile_module(module: nn.Module, kernel: str = "naive") -> CompiledModule:
+def compile_module(module: nn.Module) -> CompiledModule:
     """Compile a Sequential/ModuleList module tree into a tape-free program."""
-    return compile_chain([module], source=type(module).__name__, kernel=kernel)
+    return compile_chain([module], source=type(module).__name__)

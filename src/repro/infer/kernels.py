@@ -1,423 +1,9 @@
-"""Cache-blocked GEMM kernels and the int8-accumulate engine.
-
-This module is the kernel layer under the fused inference engine.  It
-provides three things:
-
-* :func:`gemm_into` — a blocked float32 GEMM that tiles the M (rows) and
-  N (columns) dimensions of ``x @ w`` into cache-resident panels.  The K
-  (reduction) dimension is never split, so every output element is still
-  one BLAS dot product over the full reduction — which is what makes the
-  bit-exactness probe below possible.
-* :func:`autotune_gemm` — a one-shot tuner that times candidate
-  :class:`GemmPlan` block layouts for a concrete ``(M, K, N)`` shape and
-  returns the fastest plan **that is bit-identical to a monolithic
-  ``np.matmul``** on that shape.  BLAS kernel selection (and therefore
-  the exact floating-point summation order) depends on the operand
-  shapes, not on the data, so a single dense random probe proves a plan
-  exact for every input of that shape.  Plans that fail the probe are
-  discarded; the monolithic plan is always admissible, so the tuner can
-  only ever return something both fast and exact.
-* the int8-accumulate engine — :func:`quantize_rows_` +
-  :func:`int8_accumulate_into` — which quantizes an activation panel to
-  int8 codes on the fly (per-row dynamic scale) and accumulates
-  ``codes_x @ codes_w`` exactly in integer arithmetic, applying
-  ``act_scale * weight_scale`` once per output block.
-
-Exact integer accumulation without integer BLAS
------------------------------------------------
-NumPy's integer ``matmul`` has no BLAS backend (measured ~25x slower
-than the dequantize-tile baseline on this host), so the production
-engine runs the accumulation through *float32* BLAS instead: int8 codes
-are cast to integer-valued float32, and because every product is at most
-``127 * 127 = 16129``, any partial sum of up to :data:`EXACT_ACCUM_K`
-products stays below ``2**24`` — exactly representable in float32, in
-any summation order.  For reductions deeper than that the K dimension is
-chunked and the (exact) chunk sums are accumulated in int64-exact
-float64.  :func:`int8_accumulate_reference` implements the literal
-widened int16/int32 ``np.matmul`` version of the same contraction; the
-test suite pins the fast engine to it bit-for-bit.
-"""
-
-from __future__ import annotations
-
-import os
-import time
-
-import numpy as np
-
-#: Deepest K panel whose int8xint8 partial sums are exact in float32:
-#: 1024 * 127 * 127 = 16_516_096 < 2**24.
-EXACT_ACCUM_K = 1024
-
-#: Float32 scratch budget for one quantized decode/cast panel (~L2-sized).
-QUANT_PANEL_CAP_BYTES = 512 * 1024
-
-#: Recognized kernel kinds for sessions / CLI / env override.
-KERNELS = ("blocked", "naive")
+"""Unpickling shim for engine snapshots written before the single-engine
+inference path: their ``kernel_plans`` entries pickle ``GemmPlan``
+objects by this module path.  Restore drops the plans."""
 
 
 class GemmPlan:
-    """Block layout of one GEMM site: row blocks of ``mb``, column panels
-    of ``nb`` (``None`` means unblocked along that dimension).  The plan
-    with both ``None`` is the monolithic ``np.matmul`` call."""
+    """Data-only stand-in for a retired GEMM block layout."""
 
     __slots__ = ("mb", "nb")
-
-    def __init__(self, mb: int | None = None, nb: int | None = None):
-        for name, value in (("mb", mb), ("nb", nb)):
-            if value is not None and (not isinstance(value, (int, np.integer))
-                                      or isinstance(value, bool) or value < 1):
-                raise ValueError(f"{name} must be a positive int or None, got {value!r}")
-        self.mb = int(mb) if mb is not None else None
-        self.nb = int(nb) if nb is not None else None
-
-    @property
-    def blocked(self) -> bool:
-        return self.mb is not None or self.nb is not None
-
-    def as_dict(self) -> dict:
-        return {"mb": self.mb, "nb": self.nb}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GemmPlan":
-        return cls(mb=data.get("mb"), nb=data.get("nb"))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GemmPlan) and (self.mb, self.nb) == (other.mb, other.nb)
-
-    def __hash__(self) -> int:
-        return hash((self.mb, self.nb))
-
-    def __repr__(self) -> str:
-        if not self.blocked:
-            return "GemmPlan(monolithic)"
-        return f"GemmPlan(mb={self.mb}, nb={self.nb})"
-
-
-MONOLITHIC = GemmPlan()
-
-
-def pack_panels(weight: np.ndarray, nb: int) -> list[np.ndarray]:
-    """Pre-pack ``(K, N)`` weight columns into C-contiguous ``nb``-wide
-    panels, chosen once per geometry so the per-call loop streams each
-    panel through cache without re-striding the full matrix."""
-    weight = np.ascontiguousarray(weight, dtype=np.float32)
-    return [np.ascontiguousarray(weight[:, begin : begin + nb])
-            for begin in range(0, weight.shape[1], nb)]
-
-
-def gemm_into(
-    x: np.ndarray,
-    w: np.ndarray,
-    out: np.ndarray,
-    plan: GemmPlan = MONOLITHIC,
-    panels: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Blocked ``x @ w`` written into ``out``.
-
-    ``x`` may be 2-D or batched N-D (row blocking tiles the leading
-    axis).  K is never split, so a plan admitted by the autotuner's
-    bit-exactness probe reproduces ``np.matmul(x, w, out=out)`` exactly.
-    ``panels`` is the optional pre-packed column layout from
-    :func:`pack_panels`; column slices of ``w`` are used when absent.
-    """
-    if not plan.blocked:
-        np.matmul(x, w, out=out)
-        return out
-    rows = x.shape[0]
-    mb = plan.mb or rows
-    nb = plan.nb
-    for m0 in range(0, rows, mb):
-        m1 = min(m0 + mb, rows)
-        xm = x[m0:m1]
-        om = out[m0:m1]
-        if nb is None:
-            np.matmul(xm, w, out=om)
-        else:
-            for j, n0 in enumerate(range(0, w.shape[1], nb)):
-                n1 = min(n0 + nb, w.shape[1])
-                panel = panels[j] if panels is not None else w[:, n0:n1]
-                np.matmul(xm, panel, out=om[..., n0:n1])
-    return out
-
-
-class PackedWeight:
-    """A float32 weight bound to a tuned :class:`GemmPlan`, with column
-    panels pre-packed once at bind time.  ``dense_`` dispatches on this
-    type the same way it does on :class:`QuantizedLinear`."""
-
-    __slots__ = ("array", "plan", "panels")
-
-    def __init__(self, array: np.ndarray, plan: GemmPlan | dict | None):
-        self.array = np.ascontiguousarray(array, dtype=np.float32)
-        if self.array.ndim != 2:
-            raise ValueError(f"PackedWeight needs a 2-D weight, got {self.array.shape}")
-        if plan is None:
-            plan = MONOLITHIC
-        elif isinstance(plan, dict):
-            plan = GemmPlan.from_dict(plan)
-        self.plan = plan
-        self.panels = pack_panels(self.array, plan.nb) if plan.nb else None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes: the weight plus any pre-packed panel copies."""
-        total = self.array.nbytes
-        if self.panels is not None:
-            total += sum(p.nbytes for p in self.panels)
-        return total
-
-    def matmul_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return gemm_into(x, self.array, out, self.plan, self.panels)
-
-    def __getstate__(self) -> dict:
-        return {"array": self.array, "plan": self.plan.as_dict()}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["array"], state["plan"])
-
-    def __repr__(self) -> str:
-        return f"PackedWeight(shape={self.array.shape}, plan={self.plan!r})"
-
-
-# ---------------------------------------------------------------------------
-# autotuner
-# ---------------------------------------------------------------------------
-
-#: Process-level plan cache keyed by (M, K, N); tuning happens once per
-#: distinct GEMM shape per process.
-_PLAN_CACHE: dict[tuple[int, int, int], GemmPlan] = {}
-
-#: Candidate row-block / column-panel sizes the tuner tries.  Column
-#: panels are sized so one float32 panel of the deepest serving K stays
-#: within a few hundred KiB of L2.
-_MB_CANDIDATES = (32, 64, 128, 256)
-_NB_CANDIDATES = (64, 128, 256)
-
-
-def resolve_kernel(kernel: str = "auto") -> str:
-    """Resolve a ``kernel=`` argument against the ``REPRO_KERNEL`` env
-    override.  Explicit ``"blocked"``/``"naive"`` always win; ``"auto"``
-    honors the environment and defaults to ``"blocked"``."""
-    if kernel not in ("auto",) + KERNELS:
-        raise ValueError(f"kernel must be one of {('auto',) + KERNELS}, got {kernel!r}")
-    if kernel != "auto":
-        return kernel
-    env = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if env in KERNELS:
-        return env
-    return "blocked"
-
-
-def clear_plan_cache() -> None:
-    """Drop all memoized plans (test hook / after changing env overrides)."""
-    _PLAN_CACHE.clear()
-
-
-def plan_cache_summary() -> dict:
-    """Read-only view of the process-wide autotune cache for observability
-    (``repro.obs`` / ``repro.cli obs``): which GEMM shapes this process
-    has tuned and what plan each got.  Keys are ``"MxKxN"`` strings so the
-    dict is directly JSON-serializable."""
-    return {
-        "%dx%dx%d" % key: plan.as_dict()
-        for key, plan in sorted(_PLAN_CACHE.items())
-    }
-
-
-def tune_quant_tile(n_in: int, n_out: int,
-                    cap_bytes: int = QUANT_PANEL_CAP_BYTES) -> int:
-    """Panel width for a quantized ``(n_in, n_out)`` weight's in-matmul
-    decode/cast scratch: as wide as the cache budget allows.
-
-    Narrow fixed tiles starve BLAS — the PR-3 default of 64 columns
-    measures ~1.9x slower than a full-width panel at the serving shapes
-    of this model family — while the byte cap keeps the float32 panel of
-    a genuinely large layer cache-resident.  Deterministic (size-based,
-    no timing), so snapshots restored on another host bind identically.
-    """
-    if n_out < 1:
-        return 1
-    width = max(1, cap_bytes // (4 * max(1, n_in)))
-    return min(n_out, width)
-
-
-def _env_forced_plan() -> GemmPlan | None:
-    """Block sizes forced via ``REPRO_KERNEL_MB`` / ``REPRO_KERNEL_NB``."""
-    mb = os.environ.get("REPRO_KERNEL_MB")
-    nb = os.environ.get("REPRO_KERNEL_NB")
-    if mb is None and nb is None:
-        return None
-    return GemmPlan(mb=int(mb) if mb else None, nb=int(nb) if nb else None)
-
-
-def plan_is_exact(m: int, k: int, n: int, plan: GemmPlan,
-                  panels: list[np.ndarray] | None = None,
-                  probe: tuple[np.ndarray, np.ndarray] | None = None) -> bool:
-    """True when ``plan`` reproduces monolithic ``np.matmul`` bit-for-bit
-    on shape ``(m, k) @ (k, n)``.  BLAS summation order is determined by
-    the operand shapes, so one dense random probe decides the shape."""
-    if probe is None:
-        probe = _probe_operands(m, k, n)
-    x, w = probe
-    if plan.nb and panels is None:
-        panels = pack_panels(w, plan.nb)
-    reference = np.matmul(x, w)
-    out = np.empty_like(reference)
-    gemm_into(x, w, out, plan, panels)
-    return bool(np.array_equal(reference, out))
-
-
-def _probe_operands(m: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(0xC0FFEE ^ (m * 73_856_093) ^ (k * 19_349_663)
-                                ^ (n * 83_492_791))
-    x = rng.standard_normal((m, k), dtype=np.float32)
-    w = rng.standard_normal((k, n), dtype=np.float32)
-    return x, w
-
-
-def _time_plan(x, w, out, plan, panels, iters: int) -> float:
-    gemm_into(x, w, out, plan, panels)  # warm-up / first-touch
-    best = float("inf")
-    for _ in range(iters):
-        start = time.perf_counter()
-        gemm_into(x, w, out, plan, panels)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def autotune_gemm(m: int, k: int, n: int, *, iters: int = 2,
-                  cache: bool = True) -> GemmPlan:
-    """Pick the fastest bit-exact :class:`GemmPlan` for ``(m, k) @ (k, n)``.
-
-    One-shot: candidate layouts are probed for bit-exactness against the
-    monolithic call and timed on synthetic operands; the winner is
-    memoized per shape for the life of the process.  ``REPRO_KERNEL=naive``
-    forces the monolithic plan; ``REPRO_KERNEL_MB`` / ``REPRO_KERNEL_NB``
-    force specific block sizes (still subject to the exactness probe —
-    an inexact forced plan falls back to monolithic).
-    """
-    if min(m, k, n) < 1:
-        return MONOLITHIC
-    if os.environ.get("REPRO_KERNEL", "").strip().lower() == "naive":
-        return MONOLITHIC
-    forced = _env_forced_plan()
-    if forced is not None:
-        return forced if plan_is_exact(m, k, n, forced) else MONOLITHIC
-    key = (int(m), int(k), int(n))
-    if cache and key in _PLAN_CACHE:
-        return _PLAN_CACHE[key]
-
-    probe = _probe_operands(m, k, n)
-    x, w = probe
-    out = np.empty((m, n), dtype=np.float32)
-    candidates = [MONOLITHIC]
-    candidates += [GemmPlan(mb=mb) for mb in _MB_CANDIDATES if mb < m]
-    candidates += [GemmPlan(nb=nb) for nb in _NB_CANDIDATES if nb < n]
-
-    best_plan, best_time = MONOLITHIC, float("inf")
-    for plan in candidates:
-        panels = pack_panels(w, plan.nb) if plan.nb else None
-        if plan.blocked and not plan_is_exact(m, k, n, plan, panels, probe):
-            continue
-        elapsed = _time_plan(x, w, out, plan, panels, iters)
-        if elapsed < best_time:
-            best_plan, best_time = plan, elapsed
-    if cache:
-        _PLAN_CACHE[key] = best_plan
-    return best_plan
-
-
-# ---------------------------------------------------------------------------
-# int8-accumulate engine
-# ---------------------------------------------------------------------------
-
-def quantize_rows_(x: np.ndarray, q: np.ndarray,
-                   scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row dynamic int8 quantization of a float32 activation panel.
-
-    Writes integer-valued float32 codes in ``[-127, 127]`` into ``q``
-    (same shape as ``x``) and the per-row scale ``amax / 127`` into
-    ``scales`` (shape ``x.shape[:-1] + (1,)``).  All-zero rows get scale
-    0 and codes 0, so ``codes * scale`` reconstructs them exactly.  The
-    codes stay float32 — not int8 — because the accumulating matmul runs
-    on float32 BLAS; their *values* are exact small integers.
-    """
-    np.abs(x, out=q)
-    amax = np.amax(q, axis=-1, keepdims=True)
-    np.divide(amax, np.float32(127.0), out=scales)
-    inv = np.zeros_like(scales)
-    np.divide(np.float32(1.0), scales, out=inv, where=scales > 0)
-    np.multiply(x, inv, out=q)
-    np.rint(q, out=q)
-    return q, scales
-
-
-def int8_accumulate_into(
-    q: np.ndarray,
-    codes: np.ndarray,
-    w_scales: np.ndarray,
-    row_scales: np.ndarray,
-    out: np.ndarray,
-    panel_scratch: np.ndarray,
-) -> np.ndarray:
-    """``(q @ codes) * w_scales * row_scales`` with int32-exact accumulation.
-
-    ``q`` holds integer-valued float32 activation codes (from
-    :func:`quantize_rows_`), ``codes`` the int8 ``(K, N)`` weight codes,
-    ``w_scales`` a scalar or ``(N,)`` per-channel weight scale and
-    ``row_scales`` the ``(..., 1)`` activation scales.  Each ``tile``-wide
-    column panel of codes is cast once into ``panel_scratch`` (float32)
-    and contracted by BLAS; partial sums over K ≤ :data:`EXACT_ACCUM_K`
-    are exact integers in float32 regardless of summation order, and
-    deeper reductions accumulate exact chunk sums in float64, so the
-    result matches :func:`int8_accumulate_reference` bit-for-bit.  The
-    combined scale is applied once per output block: one per-panel
-    column-scale multiply, one whole-output row-scale multiply.
-    """
-    k_dim, n_out = codes.shape
-    tile = panel_scratch.shape[1]
-    per_channel = w_scales.ndim == 1
-    for begin in range(0, n_out, tile):
-        end = min(begin + tile, n_out)
-        panel = panel_scratch[:, : end - begin]
-        np.copyto(panel, codes[:, begin:end])  # int8 -> integer-valued f32
-        target = out[..., begin:end]
-        if k_dim <= EXACT_ACCUM_K:
-            np.matmul(q, panel, out=target)
-        else:
-            acc = np.zeros(target.shape, dtype=np.float64)
-            for k0 in range(0, k_dim, EXACT_ACCUM_K):
-                k1 = min(k0 + EXACT_ACCUM_K, k_dim)
-                acc += np.matmul(q[..., k0:k1], panel[k0:k1])
-            np.copyto(target, acc)  # one round-to-nearest, same as int32->f32
-        target *= w_scales[begin:end] if per_channel else w_scales
-    out *= row_scales
-    return out
-
-
-def int8_accumulate_reference(
-    q: np.ndarray,
-    codes: np.ndarray,
-    w_scales: np.ndarray,
-    row_scales: np.ndarray,
-) -> np.ndarray:
-    """Literal widened-integer reference for :func:`int8_accumulate_into`.
-
-    Contracts int32 activation codes against int16 weight panels with
-    NumPy's integer ``matmul`` (exact int32 accumulation), then applies
-    the same two float32 scale multiplies in the same order as the fast
-    engine, so the two are bit-identical.  NumPy integer matmul has no
-    BLAS backend — this runs ~25x slower than the float32-BLAS engine on
-    this host — which is exactly why it is the *reference*, not the
-    production path.
-    """
-    acc = np.matmul(np.asarray(q, dtype=np.int32), codes.astype(np.int16))
-    out = acc.astype(np.float32)
-    out *= w_scales
-    out *= row_scales
-    return out

@@ -11,12 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.infer.kernels import (
-    PackedWeight,
-    int8_accumulate_into,
-    quantize_rows_,
-)
-
 # Abramowitz & Stegun 7.1.26: for z >= 0,
 #   erfc(z) = (a1 t + a2 t^2 + a3 t^3 + a4 t^4 + a5 t^5) exp(-z^2),
 #   t = 1 / (1 + p z),  |error| <= 1.5e-7.
@@ -26,19 +20,6 @@ _GELU_P = np.float32(0.3275911 / np.sqrt(2.0))
 _GELU_A5, *_GELU_HORNER = (np.float32(0.5 * a) for a in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592,
 ))  # a5, then a4 .. a1 in Horner order
-
-#: Matmul strategies of a :class:`QuantizedLinear`: decode int8 tiles to
-#: float32 inside the matmul (the PR-3 baseline) vs. quantize the
-#: activations on the fly and accumulate int8 x int8 products exactly.
-MATMUL_MODES = ("dequant_tile", "int8_accumulate")
-
-#: The engine ``matmul="auto"`` resolves to.  The recorded
-#: ``BENCH_inference.json`` quantization lane times ``dequant_tile`` at
-#: 0.33 ms single-sample p50 against 0.51 ms for ``int8_accumulate``, and
-#: it is the closer one to float32 (argmax agreement 0.984 vs 0.977), so
-#: it is the default; ``benchmarks/bench_kernels.py --check`` fails if the
-#: record ever shows the default engine losing.
-DEFAULT_MATMUL_MODE = "dequant_tile"
 
 
 def contiguous_f32(array: np.ndarray) -> np.ndarray:
@@ -125,44 +106,53 @@ def gelu_(x: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
     return x
 
 
+#: Float32 scratch budget for one quantized decode/cast panel (~L2-sized).
+QUANT_PANEL_CAP_BYTES = 512 * 1024
+
+
+def tune_quant_tile(n_in: int, n_out: int,
+                    cap_bytes: int = QUANT_PANEL_CAP_BYTES) -> int:
+    """Panel width for a quantized ``(n_in, n_out)`` weight's in-matmul
+    decode/cast scratch: as wide as the cache budget allows.
+
+    Narrow fixed tiles starve BLAS — the PR-3 default of 64 columns
+    measures ~1.9x slower than a full-width panel at the serving shapes
+    of this model family — while the byte cap keeps the float32 panel of
+    a genuinely large layer cache-resident.  Deterministic (size-based,
+    no timing), so snapshots restored on another host bind identically.
+    """
+    if n_out < 1:
+        return 1
+    width = max(1, cap_bytes // (4 * max(1, n_in)))
+    return min(n_out, width)
+
+
 class QuantizedLinear:
-    """An int8 weight matrix with two in-matmul execution strategies.
+    """An int8 weight matrix executed by casting tiles inside the matmul.
 
     Holds ``(in, out)`` int8 codes plus either one scalar scale
     (per-tensor) or a ``(out,)`` per-output-channel scale vector, so the
-    resident weight footprint stays ~4x below float32.  ``matmul_mode``
-    selects how :meth:`matmul_into` runs:
-
-    * ``"dequant_tile"`` (the PR-3 fallback, tuned) streams ``tile``
-      output columns at a time through one reusable float32 scratch tile
-      and matmuls straight into the caller's output slice — no full
-      float32 copy of the weight ever exists.  The panel is *cast* from
-      int8 (never multiplied by its scale); the weight scale lands on
-      the output block instead, which is the same column scaling
-      (``(x @ c) * s == x @ (c * s)`` up to float rounding) at a
-      fraction of the per-call decode cost, since the output block has
-      ``M x tile`` elements against the panel's ``K x tile``.
-    * ``"int8_accumulate"`` quantizes the incoming activations to int8
-      codes on the fly (per-row dynamic scale,
-      :func:`repro.infer.kernels.quantize_rows_`) and contracts codes
-      against codes with int32-exact accumulation
-      (:func:`repro.infer.kernels.int8_accumulate_into`), applying
-      ``act_scale * weight_scale`` once per output block.  The weight
-      panel is *cast*, never multiplied by its scale.  The activation
-      quantization costs more than it saves at the recorded shapes, so
-      this engine is opt-in (see :data:`DEFAULT_MATMUL_MODE`).
+    resident weight footprint stays ~4x below float32.
+    :meth:`matmul_into` streams ``tile`` output columns at a time
+    (:func:`tune_quant_tile`, fixed by the weight's shape) through one
+    reusable float32 scratch panel and matmuls straight into the
+    caller's output slice — no full float32 copy of the weight ever
+    exists.  The panel is *cast* from int8, never multiplied by its
+    scale; the weight scale lands on the output block instead, which is
+    the same column scaling (``(x @ c) * s == x @ (c * s)`` up to float
+    rounding) at a fraction of the per-call decode cost, since the
+    output block has ``M x tile`` elements against the panel's
+    ``K x tile``.
 
     :meth:`materialize` decodes to a full float32 matrix (for the
-    dequantize-on-load serving mode).  All scratch buffers are lazily
+    dequantize-on-load serving mode).  The scratch panel is lazily
     allocated and excluded from pickles, so a quantized session snapshot
     ships codes + scales only.
     """
 
-    __slots__ = ("codes", "scales", "tile", "matmul_mode",
-                 "_scratch", "_q", "_row_scales")
+    __slots__ = ("codes", "scales", "tile", "_scratch")
 
-    def __init__(self, codes: np.ndarray, scales, tile: int = 64,
-                 matmul_mode: str = "dequant_tile"):
+    def __init__(self, codes: np.ndarray, scales):
         codes = np.asarray(codes)
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
@@ -183,23 +173,10 @@ class QuantizedLinear:
             raise ValueError(
                 f"scales must be scalar or ({codes.shape[1]},), got {scales.shape}"
             )
-        if isinstance(tile, bool) or not isinstance(tile, (int, np.integer)) \
-                or tile < 1:
-            raise ValueError(
-                f"tile must be a positive integer, got {tile!r}; the decode "
-                "tile width is respected as given, not clamped"
-            )
-        if matmul_mode not in MATMUL_MODES:
-            raise ValueError(
-                f"matmul_mode must be one of {MATMUL_MODES}, got {matmul_mode!r}"
-            )
         self.codes = codes
         self.scales = scales
-        self.tile = int(tile)
-        self.matmul_mode = matmul_mode
+        self.tile = tune_quant_tile(*codes.shape)
         self._scratch = None
-        self._q = None
-        self._row_scales = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -215,21 +192,17 @@ class QuantizedLinear:
         return np.ascontiguousarray(self.codes.astype(np.float32) * self.scales)
 
     def matmul_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``x @ weight`` written into ``out`` via the configured mode."""
+        """``x @ weight`` written into ``out``, one cast panel at a time."""
         n_in, n_out = self.codes.shape
         if n_out == 0:
             return out
         if n_in == 0:
-            # Empty reduction: the sum over zero products is exactly 0 in
-            # either mode; returning early keeps the scale math (which
-            # would divide by a 0-d view) out of the degenerate case.
+            # Empty reduction: the sum over zero products is exactly 0.
             out[...] = 0.0
             return out
-        width = min(self.tile, n_out)
-        if self._scratch is None or self._scratch.shape != (n_in, width):
+        width = self.tile
+        if self._scratch is None:
             self._scratch = np.empty((n_in, width), dtype=np.float32)
-        if self.matmul_mode == "int8_accumulate":
-            return self._accumulate_into(x, out)
         per_channel = self.scales.ndim == 1
         for begin in range(0, n_out, width):
             end = min(begin + width, n_out)
@@ -241,46 +214,32 @@ class QuantizedLinear:
             np.multiply(target, scale, out=target)
         return out
 
-    def _accumulate_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Int8-accumulate path: dynamic activation codes, exact contraction."""
-        if self._q is None or self._q.shape != x.shape:
-            self._q = np.empty(x.shape, dtype=np.float32)
-            self._row_scales = np.empty(x.shape[:-1] + (1,), dtype=np.float32)
-        quantize_rows_(x, self._q, self._row_scales)
-        return int8_accumulate_into(
-            self._q, self.codes, self.scales, self._row_scales, out, self._scratch
-        )
-
     def __getstate__(self) -> dict:
-        return {"codes": self.codes, "scales": self.scales, "tile": self.tile,
-                "matmul_mode": self.matmul_mode}
+        return {"codes": self.codes, "scales": self.scales}
 
     def __setstate__(self, state: dict) -> None:
+        # Older pickles also carry ``tile`` and ``matmul_mode``; the panel
+        # width is a function of the shape and there is one engine, so
+        # both are ignored.
         self.codes = state["codes"]
         self.scales = state["scales"]
-        self.tile = state["tile"]
-        self.matmul_mode = state.get("matmul_mode", "dequant_tile")
+        self.tile = tune_quant_tile(*self.codes.shape)
         self._scratch = None
-        self._q = None
-        self._row_scales = None
 
     def __repr__(self) -> str:
         granularity = "per_channel" if self.scales.ndim == 1 else "per_tensor"
-        return (f"QuantizedLinear(shape={self.codes.shape}, {granularity}, "
-                f"{self.matmul_mode})")
+        return f"QuantizedLinear(shape={self.codes.shape}, {granularity})"
 
 
 def dense_(x: np.ndarray, weight, bias: np.ndarray | None,
            out: np.ndarray) -> np.ndarray:
     """``x @ weight + bias`` written into ``out`` (strided ``out`` is fine).
 
-    ``weight`` is a float32 array, a :class:`QuantizedLinear` (int8 codes
-    executed per its ``matmul_mode``) or a
-    :class:`repro.infer.kernels.PackedWeight` (float32 bound to a tuned
-    blocked plan) — the call sites in the fused engine stay identical
-    across precisions and kernels.
+    ``weight`` is a float32 array or a :class:`QuantizedLinear` (int8
+    codes cast tile by tile) — the call sites in the fused engine stay
+    identical across precisions.
     """
-    if isinstance(weight, (QuantizedLinear, PackedWeight)):
+    if isinstance(weight, QuantizedLinear):
         weight.matmul_into(x, out)
     else:
         np.matmul(x, weight, out=out)

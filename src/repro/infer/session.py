@@ -25,11 +25,6 @@ import time
 import numpy as np
 
 from repro import nn
-from repro.infer.kernels import (
-    PackedWeight,
-    autotune_gemm,
-    resolve_kernel,
-)
 from repro.infer.ops import (
     contiguous_f32,
     dense_,
@@ -64,6 +59,15 @@ _REQUIRED_STATE_KEYS = (
     "eps_final",
     "final_width",
 )
+
+#: Entries of snapshots written before the single-engine path: the
+#: kernel choice and its tuned GEMM plans.  Dropped on restore.
+_LEGACY_STATE_KEYS = ("kernel", "kernel_plans")
+
+
+def _drop_legacy_keys(state: dict) -> dict:
+    """``state`` without the retired kernel-selection entries."""
+    return {k: v for k, v in state.items() if k not in _LEGACY_STATE_KEYS}
 
 
 def _validate_state(state, fmt: str) -> dict:
@@ -175,13 +179,10 @@ class _BlockProgram:
         self._buffers_for = None
         self._max_batch = max_batch
 
-    #: Lazily (re)allocated scratch attributes — plus the kernel bindings
-    #: rebuilt by :meth:`_bind_kernel` — excluded from pickles so a
-    #: snapshot ships only the compiled weights (the session-level
-    #: ``kernel`` / ``kernel_plans`` entries are the single wire copy).
+    #: Lazily (re)allocated scratch attributes, excluded from pickles so
+    #: a snapshot ships only the compiled weights.
     _SCRATCH = ("normed", "qkv", "scores", "context", "merged",
-                "mlp_bufs", "gelu_tmp", "block_out", "proj", "mlp_out",
-                "_kernel", "_plans", "_w_qkv_exec", "_w_out_exec", "_mlp_exec")
+                "mlp_bufs", "gelu_tmp", "block_out", "proj", "mlp_out")
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
@@ -191,27 +192,6 @@ class _BlockProgram:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._buffers_for = None
-
-    def _bind_kernel(self, kernel: str, plans: dict) -> None:
-        """Bind the session's kernel choice to this block: under the
-        blocked kernel, float weights with a tuned blocked plan are
-        pre-packed into :class:`PackedWeight` panels once; quantized
-        weights and the naive kernel pass the raw objects through."""
-        self._kernel = kernel
-        self._plans = plans
-
-        def wrap(weight, site: str):
-            plan = plans.get(site)
-            if (kernel != "blocked" or plan is None or not plan.blocked
-                    or not isinstance(weight, np.ndarray)):
-                return weight
-            return PackedWeight(weight, plan)
-
-        self._w_qkv_exec = wrap(self.w_qkv, "qkv")
-        self._w_out_exec = wrap(self.w_out, "attn_out")
-        self._mlp_exec = [wrap(w, f"mlp{index}")
-                          for index, (w, _bias) in enumerate(self.mlp_weights)]
-        self._buffers_for = None  # blocked scratch differs; force realloc
 
     def _allocate(self, seq: int) -> None:
         """Scratch buffers for ``(max_batch, seq)`` inputs, reused per call."""
@@ -227,68 +207,24 @@ class _BlockProgram:
         self.mlp_bufs = [np.empty((B, seq, u), dtype=f32) for u in self.mlp_widths[:-1]]
         self.gelu_tmp = np.empty((2, B * seq * max(self.mlp_widths)), dtype=f32)
         self.block_out = np.empty((B, seq, self.out_dim), dtype=f32)
-        if getattr(self, "_kernel", "naive") == "blocked":
-            # Contiguous targets for the two strided-output sites, so the
-            # folded GEMMs never pay matmul's internal strided buffering.
-            self.proj = np.empty((B, seq, D), dtype=f32)
-            self.mlp_out = np.empty((B, seq, self.out_dim - D), dtype=f32)
+        # Contiguous targets for the two strided-output sites, so the
+        # folded GEMMs never pay matmul's internal strided buffering.
+        self.proj = np.empty((B, seq, D), dtype=f32)
+        self.mlp_out = np.empty((B, seq, self.out_dim - D), dtype=f32)
         self._buffers_for = seq
 
     def run(self, tokens: np.ndarray) -> np.ndarray:
         """One fused encoder block over ``(b, N, D)`` tokens; returns a
-        ``(b, N, out_dim)`` view into this block's output buffer."""
+        ``(b, N, out_dim)`` view into this block's output buffer.
+
+        Token panels fold to 2-D so every dense site is one GEMM instead
+        of one BLAS call per sample, and the two strided-output sites
+        (attention out-projection, last MLP dense) write through
+        contiguous scratch (``proj`` / ``mlp_out``) instead of matmul's
+        internal strided-out buffering."""
         b, seq, _dim = tokens.shape
         if self._buffers_for != seq:
             self._allocate(seq)
-        if getattr(self, "_kernel", "naive") == "blocked":
-            return self._run_blocked(tokens, b, seq)
-        D, h, hd = self.dim, self.heads, self.head_dim
-
-        normed = self.normed[:b]
-        qkv = self.qkv[:b]
-        scores = self.scores[:b]
-        context = self.context[:b]
-        merged = self.merged[:b]
-        out = self.block_out[:b]
-        attended = out[..., :D]
-
-        # --- attention sub-block (pre-norm folded into the packed matmul)
-        layer_norm_(tokens, self.eps_attn, out=normed)
-        dense_(normed, self.w_qkv, self.b_qkv, out=qkv)
-        split = qkv.reshape(b, seq, 3, h, hd)
-        q = split[:, :, 0].transpose(0, 2, 1, 3)  # (b, h, N, hd) views
-        k = split[:, :, 1].transpose(0, 2, 1, 3)
-        v = split[:, :, 2].transpose(0, 2, 1, 3)
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        scores *= self.scale
-        softmax_(scores)
-        np.matmul(scores, v, out=context)
-        np.copyto(merged.reshape(b, seq, h, hd), context.transpose(0, 2, 1, 3))
-        dense_(merged, self.w_out, self.b_out, out=attended)
-        attended += tokens  # residual
-
-        # --- MLP sub-block (pre-norm folded into the first dense)
-        layer_norm_(attended, self.eps_mlp, out=normed)
-        x = normed
-        for index, (w, bias) in enumerate(self.mlp_weights):
-            last = index == len(self.mlp_weights) - 1
-            target = out[..., D:] if last else self.mlp_bufs[index][:b]
-            dense_(x, w, bias, out=target)
-            gelu_(target, *_gelu_planes(self.gelu_tmp, target))
-            x = target
-        # `out` already holds [attended | transformed] — the concatenation
-        # was written in place, no np.concatenate needed.
-        return out
-
-    def _run_blocked(self, tokens: np.ndarray, b: int, seq: int) -> np.ndarray:
-        """Blocked-kernel body of :meth:`run`.
-
-        Token panels fold to 2-D so every dense site is one (tuned) GEMM
-        instead of one BLAS call per sample, and the two strided-output
-        sites (attention out-projection, last MLP dense) write through
-        contiguous scratch (``proj`` / ``mlp_out``) instead of matmul's
-        internal strided-out buffering.  The residual add and the final
-        copy keep the op-for-op float semantics of the naive path."""
         D, h, hd = self.dim, self.heads, self.head_dim
         rows = b * seq
         normed = self.normed[:b]
@@ -302,7 +238,7 @@ class _BlockProgram:
 
         # --- attention sub-block (pre-norm folded into the packed matmul)
         layer_norm_(tokens, self.eps_attn, out=normed)
-        dense_(normed.reshape(rows, D), self._w_qkv_exec, self.b_qkv,
+        dense_(normed.reshape(rows, D), self.w_qkv, self.b_qkv,
                out=qkv.reshape(rows, 3 * D))
         split = qkv.reshape(b, seq, 3, h, hd)
         q = split[:, :, 0].transpose(0, 2, 1, 3)  # (b, h, N, hd) views
@@ -313,19 +249,18 @@ class _BlockProgram:
         softmax_(scores)
         np.matmul(scores, v, out=context)
         np.copyto(merged.reshape(b, seq, h, hd), context.transpose(0, 2, 1, 3))
-        dense_(merged.reshape(rows, D), self._w_out_exec, self.b_out,
+        dense_(merged.reshape(rows, D), self.w_out, self.b_out,
                out=proj.reshape(rows, D))
         np.add(proj, tokens, out=attended)  # residual
 
         # --- MLP sub-block (pre-norm folded into the first dense)
         layer_norm_(attended, self.eps_mlp, out=normed)
         x2d = normed.reshape(rows, D)
-        for index, (_w, bias) in enumerate(self.mlp_weights):
+        for index, (w, bias) in enumerate(self.mlp_weights):
             last = index == len(self.mlp_weights) - 1
             target = self.mlp_out[:b] if last else self.mlp_bufs[index][:b]
             width = target.shape[-1]
-            dense_(x2d, self._mlp_exec[index], bias,
-                   out=target.reshape(rows, width))
+            dense_(x2d, w, bias, out=target.reshape(rows, width))
             gelu_(target, *_gelu_planes(self.gelu_tmp, target))
             x2d = target.reshape(rows, width)
         np.copyto(out[..., D:], self.mlp_out[:b])
@@ -344,23 +279,14 @@ class InferenceSession:
         Micro-batch capacity of the scratch buffers.  ``predict`` serves at
         most this many samples per call; ``predict_many`` chunks any
         workload through it.
-    kernel:
-        ``"blocked"`` (folded 2-D GEMMs through autotuned
-        :class:`repro.infer.kernels.GemmPlan` layouts, weights pre-packed
-        once at compile), ``"naive"`` (the pre-kernel-layer per-sample
-        BLAS path, kept for A/B and old snapshots) or ``"auto"`` (honor
-        the ``REPRO_KERNEL`` env override, default blocked).  Tuned plans
-        ship in snapshots, so restored serving workers never re-tune.
     """
 
-    def __init__(self, model: VitalModel, max_batch: int = 32,
-                 kernel: str = "auto"):
+    def __init__(self, model: VitalModel, max_batch: int = 32):
         if not isinstance(model, VitalModel):
             raise TypeError(
                 f"InferenceSession compiles VitalModel, got {type(model).__name__}; "
                 "use repro.infer.compile_module for sequential baseline models"
             )
-        self.kernel = resolve_kernel(kernel)
         self.max_batch = _validate_max_batch(max_batch)
         self.image_size = model.image_size
         self.channels = model.channels
@@ -370,7 +296,6 @@ class InferenceSession:
 
         # Same per-geometry cached gather grid the model itself uses.
         self.patch_grid = patch_index_grid(self.image_size, self.patch_size, self.channels)
-        patch_dim = self.patch_grid.shape[1]
 
         # --- embedding: projection bias + position embedding fused into one add
         self.w_embed = contiguous_f32(model.embedding.projection.weight.data)
@@ -398,46 +323,18 @@ class InferenceSession:
         self.eps_final = model.final_norm.eps
         self.final_width = model.final_norm.features
 
-        self.kernel_plans = self._tune_plans() if self.kernel == "blocked" else {}
         self._allocate_scratch()
 
-    def _tune_plans(self) -> dict:
-        """One-shot autotune of every distinct GEMM site of this geometry.
-
-        Sites are tuned on the single-sample folded shape
-        ``(num_patches, K) @ (K, N)`` — per-request latency is the
-        product metric, and row blocking degrades gracefully to the
-        monolithic call at small batches anyway.  All encoder blocks
-        share one geometry, so block sites are tuned once; the plans are
-        memoized process-wide per shape and shipped in snapshots, so
-        restored serving workers never re-tune.
-        """
-        rows = self.num_patches
-        patch_dim = self.patch_grid.shape[1]
-        plans = {"embed": autotune_gemm(rows, patch_dim, self.w_embed.shape[1])}
-        if self.blocks:
-            block = self.blocks[0]
-            plans["qkv"] = autotune_gemm(rows, block.w_qkv.shape[0],
-                                         block.w_qkv.shape[1])
-            plans["attn_out"] = autotune_gemm(rows, block.w_out.shape[0],
-                                              block.w_out.shape[1])
-            for index, (w, _bias) in enumerate(block.mlp_weights):
-                plans[f"mlp{index}"] = autotune_gemm(rows, w.shape[0], w.shape[1])
-        return plans
-
     def gemm_sites(self) -> list[dict]:
-        """Shape identity of every GEMM site this engine runs, reusing the
-        kernel layer's plan identities (:mod:`repro.infer.kernels`).
+        """Shape identity of every GEMM site this engine runs.
 
         Each entry reports the site name, the ``(m, k, n)`` folded
         single-sample shape (``m`` is ``None`` for head sites, whose row
-        count is the request batch size), the weight storage (``float32``
-        or ``int8``), and the autotuned :class:`GemmPlan` when the
-        blocked kernel tuned one.  This is the vocabulary profiling
+        count is the request batch size) and the weight storage
+        (``float32`` or ``int8``).  This is the vocabulary profiling
         output and the ``obs top`` CLI use to talk about compute."""
 
         def entry(site, m, weight):
-            plan = self.kernel_plans.get(site)
             k, n = int(weight.shape[0]), int(weight.shape[1])
             return {
                 "site": site,
@@ -446,7 +343,6 @@ class InferenceSession:
                 "n": n,
                 "weight": "float32" if isinstance(weight, np.ndarray)
                           else "int8",
-                "plan": plan.as_dict() if plan is not None else None,
             }
 
         rows = self.num_patches
@@ -462,21 +358,7 @@ class InferenceSession:
         return sites
 
     def _allocate_scratch(self) -> None:
-        """(Re)allocate the top-level scratch buffers shared across calls
-        and (re)bind the kernel layer to the compiled weights."""
-        # Sessions restored from pre-kernel-layer snapshots have no kernel
-        # entry: they run the naive path, preserving their old numerics.
-        self.kernel = getattr(self, "kernel", "naive")
-        self.kernel_plans = getattr(self, "kernel_plans", None) or {}
-        embed_plan = self.kernel_plans.get("embed")
-        if (self.kernel == "blocked" and embed_plan is not None
-                and embed_plan.blocked and isinstance(self.w_embed, np.ndarray)):
-            self._w_embed_exec = PackedWeight(self.w_embed, embed_plan)
-        else:
-            self._w_embed_exec = self.w_embed
-        for block in self.blocks:
-            block._bind_kernel(self.kernel, self.kernel_plans)
-
+        """(Re)allocate the top-level scratch buffers shared across calls."""
         B, N = self.max_batch, self.num_patches
         f32 = np.float32
         patch_dim = self.patch_grid.shape[1]
@@ -494,13 +376,13 @@ class InferenceSession:
     # -- snapshot / restore -------------------------------------------
     #: Scratch attributes excluded from pickles; rebuilt on restore.
     _SCRATCH = ("_patches", "_tokens", "_final_normed", "_pooled",
-                "_head_bufs", "_head_tmp", "_w_embed_exec", "_profiler")
+                "_head_bufs", "_head_tmp", "_profiler")
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        self.__dict__.update(_drop_legacy_keys(state))
         self._allocate_scratch()
 
     def snapshot(self) -> dict:
@@ -576,12 +458,9 @@ class InferenceSession:
             t0 = prof.lap("patch_gather", t0)
 
         tokens = self._tokens[:b]
-        if self.kernel == "blocked":
-            rows = b * self.num_patches
-            dense_(patches.reshape(rows, patches.shape[-1]), self._w_embed_exec,
-                   None, out=tokens.reshape(rows, tokens.shape[-1]))
-        else:
-            dense_(patches, self.w_embed, None, out=tokens)
+        rows = b * self.num_patches
+        dense_(patches.reshape(rows, patches.shape[-1]), self.w_embed, None,
+               out=tokens.reshape(rows, tokens.shape[-1]))
         tokens += self.pos_bias
         if prof is not None:
             t0 = prof.lap("embed", t0)
@@ -636,7 +515,7 @@ class InferenceSession:
         return (
             f"InferenceSession(image={self.image_size}, patches={self.num_patches}, "
             f"blocks={len(self.blocks)}, classes={self.num_classes}, "
-            f"max_batch={self.max_batch}, kernel={self.kernel})"
+            f"max_batch={self.max_batch})"
         )
 
 
@@ -689,18 +568,11 @@ def snapshot_info(snapshot) -> dict:
         "num_classes": int(state["num_classes"]),
         "max_batch": int(state["max_batch"]),
         "blocks": len(state["blocks"]),
-        # Pre-kernel-layer snapshots carry no kernel entry and restore
-        # onto the naive path.
-        "kernel": state.get("kernel", "naive"),
     }
     if quantized:
         info.update(
             scheme=snapshot.get("scheme"),
             mode=snapshot.get("mode"),
             bits=snapshot.get("bits"),
-            # Which matmul engine the int8-resident path runs; None for
-            # dequantize-on-load sessions (plain float kernels).
-            matmul=(snapshot.get("matmul", "dequant_tile")
-                    if snapshot.get("mode") == "int8" else None),
         )
     return info

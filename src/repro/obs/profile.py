@@ -13,8 +13,9 @@ The worker loop attaches a profiler per restored session when the
 server is constructed with ``profile=True`` and drains the per-batch
 phase totals into the trace timing it ships back, so a request trace
 can descend *into* its compute span.  Shape-level identity comes from
-:meth:`InferenceSession.gemm_sites`, which reuses the kernel layer's
-autotuned plan identities.
+:meth:`InferenceSession.gemm_sites`: the folded ``(m, k, n)`` shape and
+weight storage of every dense site (plus scheme/mode on a
+``QuantizedSession``).
 """
 
 from __future__ import annotations

@@ -6,14 +6,11 @@ Two experiment groups, recorded under the ``quantization`` section of
 * **engine** — the fused ViT engine at the benchmark geometry: pickled
   snapshot bytes (float32 vs per-tensor int8 vs per-channel int8),
   resident weight bytes per execution mode, logit fidelity against the
-  float32 engine (dequant lane, plus the int8-accumulate engine's
-  ``accumulate_fidelity``), and single-sample p50 latency for every
-  scheme × mode lane — int8-resident mode is measured under both matmul
-  engines (``dequant_tile`` and ``int8_accumulate``).
+  float32 engine, and single-sample p50 latency for every scheme × mode
+  lane.
 * **accuracy** — a small fixed-seed synthetic survey: VITAL trained end
-  to end, served float32 / per-tensor int8 / per-channel int8 (plus a
-  per-channel arm served through the int8-accumulate engine, held to
-  the same accuracy-delta gate), mean localization error per arm; plus
+  to end, served float32 / per-tensor int8 / per-channel int8, mean
+  localization error per arm; plus
   the dense baselines (SHERPA, CNNLoc) fake-quantized through
   :func:`repro.nn.quantize_model` at both granularities.
 
@@ -80,7 +77,6 @@ def _engine_experiment(
     snapshot_bytes = {"float32": float_snapshot_bytes}
     resident_bytes = {"float32": _state_weight_bytes(session.__getstate__())}
     fidelity: dict[str, dict] = {}
-    accumulate_fidelity: dict[str, dict] = {}
     latency = {"float32_p50_ms": _p50_ms(lambda: session.predict(single), iters)}
 
     def _fidelity(logits: np.ndarray) -> dict:
@@ -92,30 +88,14 @@ def _engine_experiment(
         }
 
     for scheme in SCHEMES:
-        # int8-resident mode is measured under both matmul engines; the
-        # lineage lane name `{scheme}_int8` keeps meaning "int8-resident
-        # weights, exact float activations" (now the tuned dequant-tile
-        # engine), `{scheme}_int8_accumulate` is the integer-arithmetic
-        # engine with dynamic activation quantization.
         sessions = {
-            "dequant": QuantizedSession(
-                session, scheme=scheme, mode="dequant", calibration=calibration
-            ),
-            "int8": QuantizedSession(
-                session, scheme=scheme, mode="int8", matmul="dequant_tile",
-                calibration=calibration,
-            ),
-            "int8_accumulate": QuantizedSession(
-                session, scheme=scheme, mode="int8", matmul="int8_accumulate",
-                calibration=calibration,
-            ),
+            mode: QuantizedSession(session, scheme=scheme, mode=mode,
+                                   calibration=calibration)
+            for mode in ("dequant", "int8")
         }
         snapshot_bytes[scheme] = len(pickle.dumps(sessions["dequant"].snapshot()))
         resident_bytes[f"{scheme}_int8_mode"] = sessions["int8"].resident_weight_bytes()
         fidelity[scheme] = _fidelity(sessions["dequant"].predict_many(eval_images))
-        accumulate_fidelity[scheme] = _fidelity(
-            sessions["int8_accumulate"].predict_many(eval_images)
-        )
         for mode, quantized in sessions.items():
             latency[f"{scheme}_{mode}_p50_ms"] = _p50_ms(
                 lambda q=quantized: q.predict(single), iters
@@ -126,7 +106,6 @@ def _engine_experiment(
         "snapshot_ratio_per_channel": snapshot_bytes["per_channel"] / float_snapshot_bytes,
         "resident_weight_bytes": resident_bytes,
         "fidelity": fidelity,
-        "accumulate_fidelity": accumulate_fidelity,
         "latency": latency,
         "calibration": calibration.summary(),
         "eval_samples": eval_samples,
@@ -193,27 +172,16 @@ def _accuracy_experiment(seed: int, smoke: bool, verbose: bool) -> dict:
             float_session, scheme=scheme, mode="dequant", calibration=calibration
         )
         vital_errors[scheme] = _mean_error_m(vital, test)
-    # Extra arm: the headline per-channel scheme served int8-resident
-    # through the int8-accumulate engine, held to the same delta gate.
-    vital._session = QuantizedSession(
-        float_session, scheme="per_channel", mode="int8",
-        matmul="int8_accumulate", calibration=calibration,
-    )
-    accumulate_error = _mean_error_m(vital, test)
     vital._session = float_session
     record["VITAL"] = {
         "float32_mean_error_m": float_error,
         **{f"{scheme}_mean_error_m": err for scheme, err in vital_errors.items()},
         **{f"{scheme}_delta_m": err - float_error
            for scheme, err in vital_errors.items()},
-        "per_channel_int8_accumulate_mean_error_m": accumulate_error,
-        "per_channel_int8_accumulate_delta_m": accumulate_error - float_error,
-        "served_via": "QuantizedSession (dequant mode, calibrated; "
-                      "plus one per-channel int8-accumulate arm)",
+        "served_via": "QuantizedSession (dequant mode, calibrated)",
     }
     log(f"  VITAL: float {float_error:.2f} m, per-channel int8 "
-        f"{vital_errors['per_channel']:.2f} m, int8-accumulate "
-        f"{accumulate_error:.2f} m")
+        f"{vital_errors['per_channel']:.2f} m")
 
     # --- dense baselines via fake-quantized weights on the compiled path
     baselines = {
@@ -324,13 +292,6 @@ def format_quantization_summary(record: dict) -> str:
             f"  fidelity[{scheme}]: max|Δlogit| {fidelity['max_abs_diff']:.2e}, "
             f"argmax agreement {fidelity['argmax_agreement']:.1%}"
         )
-        accumulate = engine.get("accumulate_fidelity", {}).get(scheme)
-        if accumulate is not None:
-            lines.append(
-                f"  fidelity[{scheme}, int8-accumulate]: "
-                f"max|Δlogit| {accumulate['max_abs_diff']:.2e}, "
-                f"argmax agreement {accumulate['argmax_agreement']:.1%}"
-            )
     frameworks = record["accuracy"]["frameworks"]
     for name, row in frameworks.items():
         lines.append(
@@ -339,10 +300,4 @@ def format_quantization_summary(record: dict) -> str:
             f"per-channel {row['per_channel_mean_error_m']:.2f} m "
             f"(Δ {row['per_channel_delta_m']:+.3f} m)"
         )
-        if "per_channel_int8_accumulate_delta_m" in row:
-            lines.append(
-                f"    int8-accumulate arm: "
-                f"{row['per_channel_int8_accumulate_mean_error_m']:.2f} m "
-                f"(Δ {row['per_channel_int8_accumulate_delta_m']:+.3f} m)"
-            )
     return "\n".join(lines)

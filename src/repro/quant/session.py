@@ -14,7 +14,9 @@ head denses — as int8 codes plus scales:
   engine; ``mode="int8"`` keeps the weights int8-resident and lets
   :func:`repro.infer.ops.dense_` dequantize tile-by-tile inside each
   matmul (:class:`repro.infer.QuantizedLinear`), cutting the resident
-  weight footprint ~4x.
+  weight footprint ~4x.  There is one int8 engine: snapshots that
+  recorded ``matmul="int8_accumulate"`` (a retired engine that also
+  quantized the activations) restore onto it.
 
 Biases, the fused position-embedding add and the LayerNorm epsilons stay
 float32 — they are a rounding-error fraction of the footprint and
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.infer.kernels import tune_quant_tile
-from repro.infer.ops import DEFAULT_MATMUL_MODE, MATMUL_MODES, QuantizedLinear
+from repro.infer.ops import QuantizedLinear
 from repro.infer.session import (
     InferenceSession,
     _BlockProgram,
+    _drop_legacy_keys,
     _validate_max_batch,
     _validate_state,
 )
@@ -51,15 +53,11 @@ SCHEMES = ("per_tensor", "per_channel")
 #: Execution modes: decode once at build vs. int8-resident tiled decode.
 MODES = ("dequant", "int8")
 
-#: Matmul engines of the int8-resident mode (see
-#: :data:`repro.infer.ops.MATMUL_MODES`): ``"dequant_tile"`` casts int8
-#: weight tiles to float32 inside the matmul; ``"int8_accumulate"``
-#: quantizes activations on the fly and accumulates int8 x int8 products
-#: exactly.  ``"auto"`` resolves to ``"dequant_tile"``
-#: (:data:`repro.infer.ops.DEFAULT_MATMUL_MODE`): the recorded
-#: single-sample p50 is 0.33 ms against 0.51 ms for the accumulate engine,
-#: and its argmax agreement with float32 is 0.984 against 0.977.
-MATMULS = ("auto",) + MATMUL_MODES
+#: Accepted values of the ``matmul=`` keyword.  There is one int8
+#: engine (cast int8 tiles to float32 inside the matmul), so both name
+#: it and neither selects anything; the keyword stays for callers that
+#: pass ``matmul="auto"``.
+MATMULS = ("auto", "dequant_tile")
 
 
 def _quantize_weight(weight: np.ndarray, scheme: str, bits: int) -> QuantizedLinear:
@@ -174,13 +172,8 @@ class QuantizedSession(InferenceSession):
     bits:
         Code width, 2..8 (codes ship as int8 either way).
     matmul:
-        Matmul engine of the int8-resident mode: ``"dequant_tile"``
-        (decode-per-tile, float32 activations), ``"int8_accumulate"``
-        (dynamic per-row activation quantization, int32-exact code-vs-code
-        contraction) or ``"auto"`` (``"dequant_tile"``, which is both
-        faster and closer to float32 in the recorded benchmark; see
-        :data:`MATMULS`).  Ignored by ``mode="dequant"``, which runs plain
-        float32 kernels.
+        ``"auto"`` or ``"dequant_tile"``; selects nothing (see
+        :data:`MATMULS`) and raises ``ValueError`` on any other value.
     calibration / calibration_images:
         Either a ready :class:`repro.quant.Calibration` or a batch of
         representative images to run through the float engine before
@@ -206,6 +199,8 @@ class QuantizedSession(InferenceSession):
             )
         if not 2 <= bits <= 8:
             raise ValueError(f"bits must be in [2, 8] for int8 codes, got {bits}")
+        if matmul not in MATMULS:
+            raise ValueError(f"matmul must be one of {MATMULS}, got {matmul!r}")
         if isinstance(source, InferenceSession):
             base = source
         else:
@@ -217,7 +212,6 @@ class QuantizedSession(InferenceSession):
             scheme=scheme,
             mode=mode,
             bits=bits,
-            matmul=matmul,
             calibration=calibration,
             max_batch=max_batch,
         )
@@ -230,33 +224,18 @@ class QuantizedSession(InferenceSession):
         mode: str,
         bits: int,
         calibration,
-        matmul: str = "auto",
         max_batch: int | None = None,
     ) -> None:
         """Wire quantized state + metadata into a runnable session."""
         self.scheme = _check_scheme(scheme)
         self.mode = _check_mode(mode)
         self.bits = int(bits)
-        self.matmul = _check_matmul(matmul)
         if isinstance(calibration, Calibration):
             calibration = calibration.summary()
         self.calibration = calibration
-        self._qstate = qstate
-        InferenceSession.__setstate__(self, _executable_state(qstate, mode, max_batch))
-        if self.mode == "int8":
-            self._bind_matmul()
-
-    def _bind_matmul(self) -> None:
-        """Point every resident :class:`QuantizedLinear` at the configured
-        matmul engine, and — under the blocked kernel — widen its decode
-        panel to the tuned cache-resident width (the naive kernel keeps
-        the fixed PR-3 tile so ``--kernel naive`` reproduces the old
-        baseline exactly)."""
-        for weight in _iter_weight_arrays(InferenceSession.__getstate__(self)):
-            if isinstance(weight, QuantizedLinear):
-                weight.matmul_mode = self.matmul
-                if self.kernel == "blocked":
-                    weight.tile = tune_quant_tile(*weight.shape)
+        self._qstate = _drop_legacy_keys(qstate)
+        InferenceSession.__setstate__(
+            self, _executable_state(self._qstate, mode, max_batch))
 
     # -- snapshot / restore -------------------------------------------
     def snapshot(self) -> dict:
@@ -272,19 +251,17 @@ class QuantizedSession(InferenceSession):
             "scheme": self.scheme,
             "mode": self.mode,
             "bits": self.bits,
-            "matmul": self.matmul,
             "calibration": self.calibration,
             "state": self._qstate,
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, mode: str | None = None,
-                      matmul: str | None = None) -> "QuantizedSession":
-        """Rebuild from :meth:`snapshot`; ``mode`` / ``matmul`` optionally
-        override the recorded execution mode and matmul engine (the wire
-        format is identical for all of them).  Pre-kernel-layer snapshots
-        carry no matmul entry and restore onto the dequant-tile engine,
-        preserving their recorded numerics."""
+    def from_snapshot(cls, snapshot: dict,
+                      mode: str | None = None) -> "QuantizedSession":
+        """Rebuild from :meth:`snapshot`; ``mode`` optionally overrides the
+        recorded execution mode (the wire format is identical for both).
+        A ``matmul`` entry recorded by older snapshots is ignored: they
+        all restore onto the one int8 engine."""
         if not isinstance(snapshot, dict) or snapshot.get("format") != QUANT_SNAPSHOT_FORMAT:
             raise ValueError(
                 f"not a QuantizedSession snapshot (expected format "
@@ -297,7 +274,6 @@ class QuantizedSession(InferenceSession):
             scheme=snapshot["scheme"],
             mode=mode or snapshot["mode"],
             bits=snapshot["bits"],
-            matmul=matmul or snapshot.get("matmul", "dequant_tile"),
             calibration=snapshot.get("calibration"),
         )
         return session
@@ -310,7 +286,6 @@ class QuantizedSession(InferenceSession):
             "scheme": self.scheme,
             "mode": self.mode,
             "bits": self.bits,
-            "matmul": self.matmul,
             "calibration": self.calibration,
         }
 
@@ -320,7 +295,6 @@ class QuantizedSession(InferenceSession):
             scheme=state["scheme"],
             mode=state["mode"],
             bits=state["bits"],
-            matmul=state.get("matmul", "dequant_tile"),
             calibration=state.get("calibration"),
         )
 
@@ -333,15 +307,11 @@ class QuantizedSession(InferenceSession):
         return snapshot_info(self.snapshot())
 
     def gemm_sites(self) -> list[dict]:
-        """Base sites plus the quantization view: which matmul engine an
-        int8-resident site runs (``int8_accumulate``/``dequant_tile``)
-        and the session's scheme/mode — so profiling output names the
-        exact kernel each shape executes."""
+        """Base sites tagged with the session's scheme and mode."""
         sites = super().gemm_sites()
         for site in sites:
             site["scheme"] = self.scheme
             site["mode"] = self.mode
-            site["engine"] = self.matmul if site["weight"] == "int8" else None
         return sites
 
     # -- footprint accounting -----------------------------------------
@@ -370,7 +340,7 @@ class QuantizedSession(InferenceSession):
             f"QuantizedSession(image={self.image_size}, "
             f"blocks={len(self.blocks)}, classes={self.num_classes}, "
             f"scheme={self.scheme}, mode={self.mode}, bits={self.bits}, "
-            f"matmul={self.matmul}, max_batch={self.max_batch})"
+            f"max_batch={self.max_batch})"
         )
 
 
@@ -386,12 +356,6 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _check_matmul(matmul: str) -> str:
-    if matmul not in MATMULS:
-        raise ValueError(f"matmul must be one of {MATMULS}, got {matmul!r}")
-    return DEFAULT_MATMUL_MODE if matmul == "auto" else matmul
-
-
 def quantize_session(
     source,
     scheme: str = "per_channel",
@@ -401,7 +365,8 @@ def quantize_session(
     calibration_images=None,
     max_batch: int | None = None,
 ) -> QuantizedSession:
-    """Calibrate (when images are given) and quantize in one call."""
+    """Calibrate (when images are given) and quantize in one call;
+    ``matmul`` is validated as in :class:`QuantizedSession`."""
     return QuantizedSession(
         source,
         scheme=scheme,

@@ -1910,8 +1910,7 @@ class LocalizationServer:
                 "request_latency_ms": self._request_latency.summary(),
                 "snapshot": self._snapshot_summary(),
                 # Per-route engine facts (snapshot_info): geometry plus —
-                # for quantized routes — scheme/mode and which matmul
-                # engine the int8-resident path runs.
+                # for quantized routes — scheme/mode/bits.
                 "models": {key: dict(info)
                            for key, info in self._model_info.items()},
                 "transport": {

@@ -1,14 +1,10 @@
-"""Kernel layer: blocked GEMM exactness, the int8-accumulate engine, and
-the session/kernel plumbing.
-
-The heart of the file is a pair of hypothesis-style property sweeps
-(randomized shapes from a seeded generator, no external dependency):
-every autotuned blocked plan must reproduce the monolithic ``np.matmul``
-bit-for-bit, and the int8-accumulate engine must match the widened
-integer reference exactly while staying within the documented activation
-quantization tolerance of the float32 product.
+"""Kernel layer of the fused engine: the int8-resident
+:class:`QuantizedLinear`, its panel-width tuner, the float32 GELU, the
+kernel-record gate, and restores of snapshots recorded before the engine
+was collapsed onto one path (``tests/data/legacy_snapshots.pkl.gz``).
 """
 
+import gzip
 import os
 import pickle
 import tracemalloc
@@ -17,30 +13,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from repro.infer import (
-    GemmPlan,
-    InferenceSession,
-    PackedWeight,
-    autotune_gemm,
-    clear_plan_cache,
-    gemm_into,
-    resolve_kernel,
-    tune_quant_tile,
-)
-from repro.infer.kernels import (
-    EXACT_ACCUM_K,
-    MONOLITHIC,
-    int8_accumulate_into,
-    int8_accumulate_reference,
-    pack_panels,
-    plan_is_exact,
-    quantize_rows_,
-)
-from repro.infer.benchmark import check_kernel_gates, default_engine_problems
-from repro.infer.ops import DEFAULT_MATMUL_MODE, QuantizedLinear, gelu_
+from repro.infer import InferenceSession, restore_session, tune_quant_tile
+from repro.infer.benchmark import INT8_SPEEDUP_FLOOR, check_kernel_gates
+from repro.infer.ops import QuantizedLinear, gelu_
 from repro.quant import QuantizedSession
 from repro.tensor import no_grad, Tensor
 from repro.vit import VitalConfig, VitalModel
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _quantize(w: np.ndarray, per_channel: bool = True):
@@ -54,153 +34,6 @@ def _quantize(w: np.ndarray, per_channel: bool = True):
     return codes, np.asarray(scales, dtype=np.float32)
 
 
-class TestBlockedGemmProperty:
-    def test_random_shape_sweep_bit_identical(self):
-        """Property sweep: for random (M, K, N) the autotuned plan's
-        gemm_into output is bit-identical to np.matmul on fresh data
-        (not the tuner's probe operands)."""
-        rng = np.random.default_rng(7)
-        clear_plan_cache()
-        for trial in range(25):
-            m = int(rng.integers(1, 400))
-            k = int(rng.integers(1, 300))
-            n = int(rng.integers(1, 350))
-            plan = autotune_gemm(m, k, n, cache=False)
-            x = rng.standard_normal((m, k)).astype(np.float32)
-            w = rng.standard_normal((k, n)).astype(np.float32)
-            panels = pack_panels(w, plan.nb) if plan.nb else None
-            out = np.empty((m, n), dtype=np.float32)
-            gemm_into(x, w, out, plan, panels)
-            np.testing.assert_array_equal(
-                out, np.matmul(x, w),
-                err_msg=f"trial {trial}: plan {plan!r} diverged at "
-                        f"({m}, {k}, {n})",
-            )
-
-    def test_explicit_plans_match_when_probe_admits(self):
-        """Any plan the exactness probe admits reproduces np.matmul on
-        independent data — the probe decides per shape, not per input."""
-        rng = np.random.default_rng(11)
-        for m, k, n in ((36, 60, 180), (100, 48, 64), (17, 130, 33)):
-            x = rng.standard_normal((m, k)).astype(np.float32)
-            w = rng.standard_normal((k, n)).astype(np.float32)
-            reference = np.matmul(x, w)
-            for plan in (GemmPlan(mb=16), GemmPlan(nb=32),
-                         GemmPlan(mb=8, nb=64), MONOLITHIC):
-                if not plan_is_exact(m, k, n, plan):
-                    continue
-                out = np.empty_like(reference)
-                gemm_into(x, w, out, plan,
-                          pack_panels(w, plan.nb) if plan.nb else None)
-                np.testing.assert_array_equal(out, reference)
-
-    def test_batched_x_row_blocking(self):
-        """gemm_into tiles the leading axis of batched activations."""
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((5, 9, 24)).astype(np.float32)
-        w = rng.standard_normal((24, 40)).astype(np.float32)
-        out = np.empty((5, 9, 40), dtype=np.float32)
-        gemm_into(x, w, out, GemmPlan(mb=2, nb=16), pack_panels(w, 16))
-        np.testing.assert_allclose(out, x @ w, atol=1e-5)
-
-    def test_plan_validation(self):
-        for bad in (0, -4, True, 2.5):
-            with pytest.raises(ValueError):
-                GemmPlan(mb=bad)
-            with pytest.raises(ValueError):
-                GemmPlan(nb=bad)
-
-    def test_plan_and_packed_weight_pickle_roundtrip(self):
-        plan = GemmPlan(mb=64, nb=128)
-        assert pickle.loads(pickle.dumps(plan)) == plan
-        w = np.random.default_rng(3).standard_normal((50, 300)).astype(np.float32)
-        packed = PackedWeight(w, plan)
-        restored = pickle.loads(pickle.dumps(packed))
-        assert restored.plan == plan
-        x = np.random.default_rng(4).standard_normal((12, 50)).astype(np.float32)
-        out_a = np.empty((12, 300), dtype=np.float32)
-        out_b = np.empty((12, 300), dtype=np.float32)
-        np.testing.assert_array_equal(packed.matmul_into(x, out_a),
-                                      restored.matmul_into(x, out_b))
-
-
-class TestInt8AccumulateProperty:
-    def test_matches_integer_reference_random_sweep(self):
-        """Property sweep: the float32-BLAS accumulate engine is
-        bit-identical to the widened-integer reference matmul, per-channel
-        and per-tensor, across random shapes."""
-        rng = np.random.default_rng(23)
-        for trial in range(20):
-            m = int(rng.integers(1, 80))
-            k = int(rng.integers(1, 200))
-            n = int(rng.integers(1, 150))
-            per_channel = bool(trial % 2)
-            w = rng.standard_normal((k, n)).astype(np.float32)
-            codes, scales = _quantize(w, per_channel)
-            x = rng.standard_normal((m, k)).astype(np.float32)
-            q = np.empty((m, k), dtype=np.float32)
-            row_scales = np.empty((m, 1), dtype=np.float32)
-            quantize_rows_(x, q, row_scales)
-            tile = int(rng.integers(1, n + 1))
-            scratch = np.empty((k, tile), dtype=np.float32)
-            out = np.empty((m, n), dtype=np.float32)
-            int8_accumulate_into(q, codes, scales, row_scales, out, scratch)
-            reference = int8_accumulate_reference(q, codes, scales, row_scales)
-            np.testing.assert_array_equal(
-                out, reference,
-                err_msg=f"trial {trial}: ({m}, {k}, {n}) tile={tile} "
-                        f"per_channel={per_channel}",
-            )
-
-    @pytest.mark.parametrize("k", (EXACT_ACCUM_K, EXACT_ACCUM_K + 1,
-                                   2 * EXACT_ACCUM_K + 37))
-    def test_deep_reduction_chunk_boundary_is_exact(self, k):
-        """K beyond the float32-exact window switches to chunked float64
-        accumulation — still bit-identical to the integer reference."""
-        rng = np.random.default_rng(k)
-        w = rng.standard_normal((k, 24)).astype(np.float32)
-        codes, scales = _quantize(w)
-        x = rng.standard_normal((6, k)).astype(np.float32)
-        q = np.empty((6, k), dtype=np.float32)
-        row_scales = np.empty((6, 1), dtype=np.float32)
-        quantize_rows_(x, q, row_scales)
-        scratch = np.empty((k, 24), dtype=np.float32)
-        out = np.empty((6, 24), dtype=np.float32)
-        int8_accumulate_into(q, codes, scales, row_scales, out, scratch)
-        np.testing.assert_array_equal(
-            out, int8_accumulate_reference(q, codes, scales, row_scales)
-        )
-
-    def test_within_documented_tolerance_of_float32(self):
-        """Accumulate output vs the float32 product of the *decoded*
-        weight: the only additional error is activation rounding, at most
-        0.5 * row_scale per element, so the output error is bounded by
-        0.5 * row_scale * sum_k |w_decoded|."""
-        rng = np.random.default_rng(31)
-        for m, k, n in ((36, 60, 180), (8, 500, 40)):
-            w = rng.standard_normal((k, n)).astype(np.float32)
-            codes, scales = _quantize(w)
-            layer = QuantizedLinear(codes, scales, matmul_mode="int8_accumulate")
-            x = rng.standard_normal((m, k)).astype(np.float32)
-            out = np.empty((m, n), dtype=np.float32)
-            layer.matmul_into(x, out)
-            decoded = codes.astype(np.float32) * scales
-            exact = x @ decoded
-            row_scale = np.abs(x).max(axis=1, keepdims=True) / 127.0
-            bound = 0.5 * row_scale * np.abs(decoded).sum(axis=0) + 1e-4
-            assert (np.abs(out - exact) <= 1.05 * bound).all()
-
-    def test_quantize_rows_reconstructs_zero_rows_exactly(self):
-        x = np.zeros((3, 10), dtype=np.float32)
-        x[1] = np.linspace(-2, 2, 10, dtype=np.float32)
-        q = np.empty_like(x)
-        scales = np.empty((3, 1), dtype=np.float32)
-        quantize_rows_(x, q, scales)
-        assert scales[0, 0] == 0.0 and scales[2, 0] == 0.0
-        np.testing.assert_array_equal((q * scales)[0], 0.0)
-        assert np.abs(q).max() <= 127
-
-
 class TestQuantizedLinearEdgeCases:
     def test_empty_codes_both_axes(self):
         for shape in ((0, 5), (5, 0), (0, 0)):
@@ -211,62 +44,43 @@ class TestQuantizedLinearEdgeCases:
             layer.matmul_into(x, out)
             if shape[1]:
                 np.testing.assert_array_equal(out, 0.0)  # empty reduction
-        accumulate = QuantizedLinear(np.empty((0, 4), dtype=np.int8),
-                                     np.ones(4, dtype=np.float32),
-                                     matmul_mode="int8_accumulate")
-        out = np.full((2, 4), np.nan, dtype=np.float32)
-        accumulate.matmul_into(np.ones((2, 0), dtype=np.float32), out)
-        np.testing.assert_array_equal(out, 0.0)
 
-    def test_tile_validation_rejects_non_positive_and_non_int(self):
-        codes = np.ones((4, 4), dtype=np.int8)
-        scales = np.ones(4, dtype=np.float32)
-        for bad in (0, -3, True, 2.5):
-            with pytest.raises(ValueError, match="tile"):
-                QuantizedLinear(codes, scales, tile=bad)
-
-    def test_small_tile_is_respected_not_clamped(self):
-        """tile=7 on a 30-column weight must stream 7-wide panels (the
-        scratch is exactly 7 wide) and still be numerically right."""
+    def test_wide_weight_streams_multiple_panels(self):
+        """A (1024, 300) weight exceeds the 512 KiB panel cap at full
+        width, so the matmul streams >= 2 cast panels and must still
+        equal ``x @ decoded`` to 1e-5 of the output scale (float32
+        summation over K=1024 rounds at that level)."""
         rng = np.random.default_rng(5)
-        w = rng.standard_normal((12, 30)).astype(np.float32)
+        w = rng.standard_normal((1024, 300)).astype(np.float32)
         codes, scales = _quantize(w)
-        layer = QuantizedLinear(codes, scales, tile=7)
-        assert layer.tile == 7
-        x = rng.standard_normal((4, 12)).astype(np.float32)
-        out = np.empty((4, 30), dtype=np.float32)
+        layer = QuantizedLinear(codes, scales)
+        assert layer.tile == tune_quant_tile(1024, 300) < 300 / 2
+        x = rng.standard_normal((6, 1024)).astype(np.float32)
+        out = np.empty((6, 300), dtype=np.float32)
         layer.matmul_into(x, out)
-        assert layer._scratch.shape == (12, 7)
-        np.testing.assert_allclose(out, x @ (codes.astype(np.float32) * scales),
-                                   rtol=1e-5, atol=1e-5)
+        assert layer._scratch.shape == (1024, layer.tile)
+        expected = x.astype(np.float64) @ (codes.astype(np.float64) * scales)
+        np.testing.assert_allclose(out, expected, rtol=1e-5,
+                                   atol=1e-5 * np.abs(expected).max())
 
     def test_zero_row_activations(self):
         codes, scales = _quantize(
             np.random.default_rng(6).standard_normal((8, 10)).astype(np.float32)
         )
-        for mode in ("dequant_tile", "int8_accumulate"):
-            layer = QuantizedLinear(codes, scales, matmul_mode=mode)
-            out = np.empty((0, 10), dtype=np.float32)
-            layer.matmul_into(np.empty((0, 8), dtype=np.float32), out)
-            assert out.shape == (0, 10)
+        layer = QuantizedLinear(codes, scales)
+        out = np.empty((0, 10), dtype=np.float32)
+        layer.matmul_into(np.empty((0, 8), dtype=np.float32), out)
+        assert out.shape == (0, 10)
 
     def test_per_tensor_scalar_scales(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((16, 12)).astype(np.float32)
         codes, scale = _quantize(w, per_channel=False)
         x = rng.standard_normal((5, 16)).astype(np.float32)
-        decoded = codes.astype(np.float32) * scale
-        expected = x @ decoded
-        # accumulate adds activation rounding: <= 0.5 * row_scale * sum|w|
-        accumulate_atol = float(
-            (0.5 * np.abs(x).max() / 127.0) * np.abs(decoded).sum(axis=0).max()
-        ) + 1e-4
-        for mode, atol in (("dequant_tile", 1e-5),
-                           ("int8_accumulate", accumulate_atol)):
-            layer = QuantizedLinear(codes, scale, tile=5, matmul_mode=mode)
-            out = np.empty((5, 12), dtype=np.float32)
-            layer.matmul_into(x, out)
-            np.testing.assert_allclose(out, expected, atol=atol)
+        expected = x @ (codes.astype(np.float32) * scale)
+        out = np.empty((5, 12), dtype=np.float32)
+        QuantizedLinear(codes, scale).matmul_into(x, out)
+        np.testing.assert_allclose(out, expected, atol=1e-5)
 
 
 class TestTunersAndResolution:
@@ -277,29 +91,6 @@ class TestTunersAndResolution:
         assert 1 <= wide <= 8192 and 4 * 4096 * wide <= cap
         assert tune_quant_tile(10, 0) == 1
         assert tune_quant_tile(0, 7) == 7
-
-    def test_resolve_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel("auto") == "blocked"
-        assert resolve_kernel("naive") == "naive"
-        monkeypatch.setenv("REPRO_KERNEL", "naive")
-        assert resolve_kernel("auto") == "naive"
-        assert resolve_kernel("blocked") == "blocked"  # explicit wins
-        with pytest.raises(ValueError):
-            resolve_kernel("simd")
-
-    def test_env_forces_naive_and_block_sizes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "naive")
-        assert autotune_gemm(128, 64, 256, cache=False) == MONOLITHIC
-        monkeypatch.delenv("REPRO_KERNEL")
-        monkeypatch.setenv("REPRO_KERNEL_MB", "32")
-        monkeypatch.setenv("REPRO_KERNEL_NB", "64")
-        plan = autotune_gemm(128, 64, 256, cache=False)
-        assert (plan.mb, plan.nb) == (32, 64) or plan == MONOLITHIC
-
-    def test_degenerate_shapes_get_monolithic(self):
-        assert autotune_gemm(0, 10, 10, cache=False) == MONOLITHIC
-        assert autotune_gemm(10, 0, 10, cache=False) == MONOLITHIC
 
 
 def _small_model(seed=0):
@@ -312,55 +103,92 @@ def _small_model(seed=0):
     return model
 
 
+def _legacy():
+    """Snapshots pickled by the multi-engine code (see tests/data/README.md)."""
+    path = os.path.join(ROOT, "tests", "data", "legacy_snapshots.pkl.gz")
+    with gzip.open(path, "rb") as handle:
+        return pickle.load(handle)
+
+
+def _restore(case: dict):
+    return restore_session(pickle.loads(case["snapshot"]))
+
+
 class TestSessionKernelPlumbing:
     def test_blocked_matches_naive_and_reference(self):
-        model = _small_model()
-        rng = np.random.default_rng(42)
-        images = rng.standard_normal((6, 12, 12, 3)).astype(np.float32)
+        """Snapshots recorded under both retired kernels restore onto the
+        one engine and match the model's reference forward."""
+        legacy = _legacy()
+        images = legacy["inputs"]
         with no_grad():
-            reference = model(Tensor(images)).data
-        naive = InferenceSession(model, max_batch=4, kernel="naive")
-        blocked = InferenceSession(model, max_batch=4, kernel="blocked")
-        assert naive.kernel == "naive" and blocked.kernel == "blocked"
-        np.testing.assert_allclose(naive.predict_many(images), reference,
-                                   atol=1e-5)
-        np.testing.assert_allclose(blocked.predict_many(images), reference,
-                                   atol=1e-5)
-
-    def test_snapshot_preserves_kernel_and_predictions(self):
-        model = _small_model(1)
-        session = InferenceSession(model, max_batch=4, kernel="blocked")
-        image = np.random.default_rng(9).standard_normal((12, 12, 3)).astype(np.float32)
-        restored = InferenceSession.from_snapshot(
-            pickle.loads(pickle.dumps(session.snapshot()))
-        )
-        assert restored.kernel == "blocked"
-        assert restored.kernel_plans.keys() == session.kernel_plans.keys()
-        np.testing.assert_array_equal(restored.predict(image),
-                                      session.predict(image))
+            reference = _small_model(legacy["model_seed"])(Tensor(images)).data
+        blocked = _restore(legacy["cases"]["float_blocked"]).predict_many(images)
+        naive = _restore(legacy["cases"]["float_naive"]).predict_many(images)
+        np.testing.assert_allclose(blocked, reference, atol=1e-5)
+        np.testing.assert_allclose(naive, reference, atol=1e-5)
 
     def test_legacy_snapshot_restores_naive(self):
-        """Pre-kernel-layer snapshots (no kernel entry) must keep their
-        old numerics: the naive path."""
-        model = _small_model(2)
-        session = InferenceSession(model, max_batch=4, kernel="blocked")
-        snapshot = session.snapshot()
-        legacy_state = {k: v for k, v in snapshot["state"].items()
-                        if k not in ("kernel", "kernel_plans")}
-        restored = InferenceSession.from_snapshot(
-            {"format": snapshot["format"], "state": legacy_state}
-        )
-        assert restored.kernel == "naive"
-        image = np.random.default_rng(10).standard_normal((12, 12, 3)).astype(np.float32)
-        naive = InferenceSession(model, max_batch=4, kernel="naive")
-        np.testing.assert_allclose(restored.predict(image),
-                                   naive.predict(image), atol=1e-6)
+        """Snapshots that ran the retired naive kernel (by choice, or for
+        lack of a kernel entry) keep their recorded logits within 1e-5."""
+        legacy = _legacy()
+        for name in ("float_naive", "float_no_kernel"):
+            case = legacy["cases"][name]
+            np.testing.assert_allclose(
+                _restore(case).predict_many(legacy["inputs"]), case["logits"],
+                atol=1e-5, err_msg=name)
 
-    def test_env_override_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "naive")
-        session = InferenceSession(_small_model(3), max_batch=2)
-        assert session.kernel == "naive"
-        assert session.kernel_plans == {}
+
+class TestLegacySnapshots:
+    @pytest.mark.parametrize("name", ["float_blocked", "float_blocked_mb16",
+                                      "int8_no_matmul"])
+    def test_restores_to_recorded_logits(self, name):
+        """Blocked-kernel snapshots (including one whose plans were forced
+        non-monolithic) and the int8 default restore bit-identically."""
+        legacy = _legacy()
+        case = legacy["cases"][name]
+        np.testing.assert_array_equal(
+            _restore(case).predict_many(legacy["inputs"]), case["logits"])
+
+    def test_int8_accumulate_restores_onto_dequant_tile(self):
+        """The retired engine quantized activations too; its snapshots
+        now run the one int8 engine.  Measured against the recorded
+        logits: max |Δlogit| 1.12e-2, argmax agreement 1.0 (32 inputs)."""
+        legacy = _legacy()
+        case = legacy["cases"]["int8_accumulate"]
+        session = _restore(case)
+        assert isinstance(session, QuantizedSession) and session.mode == "int8"
+        logits = session.predict_many(legacy["inputs"])
+        assert np.abs(logits - case["logits"]).max() <= 1.2e-2
+        assert (logits.argmax(1) == case["logits"].argmax(1)).all()
+        dequant_tile = _restore(legacy["cases"]["int8_no_matmul"])
+        np.testing.assert_array_equal(
+            logits, dequant_tile.predict_many(legacy["inputs"]))
+
+    def test_fresh_sessions_match_recorded_default_path(self):
+        """A fresh float32 session and a fresh int8-resident session are
+        bit-identical to what the multi-engine code's defaults served."""
+        legacy = _legacy()
+        images, cases = legacy["inputs"], legacy["cases"]
+        session = InferenceSession(_small_model(legacy["model_seed"]),
+                                   max_batch=legacy["max_batch"])
+        np.testing.assert_array_equal(session.predict_many(images),
+                                      cases["float_blocked"]["logits"])
+        quantized = QuantizedSession(session, mode="int8")
+        np.testing.assert_array_equal(quantized.predict_many(images),
+                                      cases["int8_no_matmul"]["logits"])
+
+    @pytest.mark.parametrize("name", ["float_blocked_mb16", "int8_accumulate"])
+    def test_restored_snapshot_drops_retired_entries(self, name):
+        from repro.infer import snapshot_info
+
+        session = _restore(_legacy()["cases"][name])
+        snapshot = session.snapshot()
+        assert "kernel" not in snapshot["state"]
+        assert "kernel_plans" not in snapshot["state"]
+        assert "matmul" not in snapshot
+        assert b"repro.infer.kernels" not in pickle.dumps(snapshot)
+        info = snapshot_info(snapshot)
+        assert "kernel" not in info and "matmul" not in info
 
 
 class TestGeluKernel:
@@ -407,35 +235,35 @@ class TestGeluKernel:
         assert peak < x.nbytes // 8
 
 
-def _engine_record(dequant_tile_ms: float, accumulate_ms: float,
-                   smoke: bool = False) -> dict:
-    return {"quantization": {
-        "config": {"smoke": smoke},
-        "engine": {"latency": {
-            "per_channel_int8_p50_ms": dequant_tile_ms,
-            "per_channel_int8_accumulate_p50_ms": accumulate_ms,
-        }},
-    }}
-
-
 class TestDefaultEngineGate:
+    """The one int8 engine is gated by its recorded hot-GEMM speedup over
+    the frozen PR-3 baseline (``check_kernel_gates``)."""
+
+    @staticmethod
+    def _record(speedup: float, quick: bool = False) -> dict:
+        return {"config": {"quick": quick},
+                "kernels": {"int8_resident": {"speedup": speedup}}}
+
     def test_auto_resolves_to_gated_default(self):
-        session = QuantizedSession(InferenceSession(_small_model(6), max_batch=2),
-                                   mode="int8")
-        assert session.matmul == DEFAULT_MATMUL_MODE == "dequant_tile"
+        """``matmul="auto"`` and ``"dequant_tile"`` both name the one
+        engine, whose panels are :func:`tune_quant_tile` wide."""
+        base = InferenceSession(_small_model(6), max_batch=2)
+        auto = QuantizedSession(base, mode="int8")
+        named = QuantizedSession(base, mode="int8", matmul="dequant_tile")
+        image = np.random.default_rng(3).standard_normal((2, 12, 12, 3))
+        np.testing.assert_array_equal(auto.predict(image), named.predict(image))
+        assert auto.w_embed.tile == tune_quant_tile(*auto.w_embed.shape)
 
     def test_fails_when_default_engine_records_slower(self):
-        problems = check_kernel_gates(_engine_record(0.51, 0.33))
-        assert len(problems) == 1
-        assert "dequant_tile" in problems[0] and "int8_accumulate" in problems[0]
+        problems = check_kernel_gates(self._record(INT8_SPEEDUP_FLOOR - 0.3))
+        assert len(problems) == 1 and "speedup" in problems[0]
 
     def test_passes_when_default_wins_or_record_lacks_lanes(self):
-        assert check_kernel_gates(_engine_record(0.33, 0.51)) == []
-        assert default_engine_problems(_engine_record(0.51, 0.33, smoke=True)) == []
-        assert default_engine_problems({}) == []
+        assert check_kernel_gates(self._record(INT8_SPEEDUP_FLOOR + 0.5)) == []
+        assert check_kernel_gates(self._record(1.0, quick=True)) == []
+        assert check_kernel_gates({}) == []
 
     def test_committed_record_passes(self):
         from repro.infer.benchmark import load_baseline
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        record = load_baseline(os.path.join(root, "BENCH_inference.json"))
-        assert default_engine_problems(record) == []
+        record = load_baseline(os.path.join(ROOT, "BENCH_inference.json"))
+        assert check_kernel_gates(record) == []

@@ -209,7 +209,6 @@ class TestVitEquivalence:
             "num_classes": 5,
             "max_batch": 6,
             "blocks": 1,
-            "kernel": "blocked",
         }
         quantized = QuantizedSession(session, scheme="per_tensor", mode="int8")
         qinfo = snapshot_info(quantized.snapshot())
@@ -217,6 +216,7 @@ class TestVitEquivalence:
         assert qinfo["scheme"] == "per_tensor"
         assert qinfo["mode"] == "int8"
         assert qinfo["bits"] == 8
+        assert "matmul" not in qinfo
         assert qinfo == quantized.info()
 
     def test_from_state_dict_roundtrip(self):

@@ -390,7 +390,8 @@ class TestProfiler:
         for site in int8_sites:
             assert site["scheme"] == quantized.scheme
             assert site["mode"] == "int8"
-            assert site["engine"] is not None
+            assert set(site) == {"site", "m", "k", "n", "weight", "scheme",
+                                 "mode"}
 
     def test_attach_detach_roundtrip(self, images):
         session = _tiny_session(max_batch=4)

@@ -56,23 +56,14 @@ class TestQuantizedExecution:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_modes_agree(self, float_session, images, scheme):
-        """dequant and int8/dequant_tile decode the same codes — logits must
-        agree to float32 matmul reassociation tolerance.  The int8-accumulate
-        engine additionally quantizes activations, so it only tracks the
-        dequant lane to activation-quantization tolerance."""
+        """dequant and int8 decode the same codes — logits must agree to
+        float32 matmul reassociation tolerance."""
         dequant = QuantizedSession(float_session, scheme=scheme, mode="dequant")
-        int8 = QuantizedSession(float_session, scheme=scheme, mode="int8",
-                                matmul="dequant_tile")
+        int8 = QuantizedSession(float_session, scheme=scheme, mode="int8")
         reference = dequant.predict_many(images)
         np.testing.assert_allclose(
             reference, int8.predict_many(images), atol=1e-5, rtol=1e-5,
         )
-        accumulate = QuantizedSession(float_session, scheme=scheme, mode="int8",
-                                      matmul="int8_accumulate")
-        logits = accumulate.predict_many(images)
-        assert np.abs(logits - reference).max() < 0.05
-        agreement = (logits.argmax(axis=1) == reference.argmax(axis=1)).mean()
-        assert agreement >= 0.9
 
     def test_int8_mode_weights_stay_quantized(self, float_session):
         quantized = QuantizedSession(float_session, mode="int8")
@@ -122,6 +113,10 @@ class TestQuantizedExecution:
             QuantizedSession(float_session, mode="fp16")
         with pytest.raises(ValueError, match="bits"):
             QuantizedSession(float_session, bits=16)
+        # the retired int8-accumulate engine is refused, not silently mapped
+        with pytest.raises(ValueError, match="matmul"):
+            QuantizedSession(float_session, mode="int8",
+                             matmul="int8_accumulate")
         quantized = QuantizedSession(float_session)
         with pytest.raises(TypeError, match="already a QuantizedSession"):
             QuantizedSession(quantized)
@@ -176,27 +171,6 @@ class TestQuantizedSnapshots:
             restored.predict_many(images),
             QuantizedSession.from_snapshot(snapshot).predict_many(images),
             atol=1e-5, rtol=1e-5,
-        )
-
-    def test_matmul_override_on_restore(self, float_session, images):
-        """Snapshots record the matmul engine; from_snapshot honours it and
-        accepts an explicit override.  ``auto`` records the dequant-tile
-        engine; snapshots that recorded int8_accumulate restore onto it."""
-        default = QuantizedSession(float_session, mode="int8").snapshot()
-        assert default["matmul"] == "dequant_tile"
-        snapshot = QuantizedSession(float_session, mode="int8",
-                                    matmul="int8_accumulate").snapshot()
-        assert snapshot["matmul"] == "int8_accumulate"
-        restored = QuantizedSession.from_snapshot(snapshot)
-        assert restored.matmul == "int8_accumulate"
-        overridden = QuantizedSession.from_snapshot(snapshot, matmul="dequant_tile")
-        assert overridden.matmul == "dequant_tile"
-        # legacy snapshots (no "matmul" key) restore the PR-3 dequant-tile path
-        legacy = {key: value for key, value in snapshot.items() if key != "matmul"}
-        assert QuantizedSession.from_snapshot(legacy).matmul == "dequant_tile"
-        reference = QuantizedSession(float_session, mode="dequant").predict_many(images)
-        np.testing.assert_allclose(
-            overridden.predict_many(images), reference, atol=1e-5, rtol=1e-5,
         )
 
     def test_restore_session_dispatches_by_format(self, float_session):
