@@ -8,7 +8,7 @@ Commands
 ``compare``     run the framework comparison on one benchmark building
 ``buildings``   list the benchmark buildings and device tables
 ``infer-bench`` fused-inference throughput benchmark → BENCH_inference.json
-``serve``       multi-process serving demo / benchmark → BENCH_serving.json
+``serve``       multi-process serving demo under closed-loop load
 ``quantize``    calibrate + quantize saved weights → int8 serving snapshot
 ``fleet``       versioned model registry + multi-tenant hot-swap serving
                 (``fleet publish|list|serve|swap|gc|qos``)
@@ -16,7 +16,10 @@ Commands
                 per-phase compute profile, continuous monitoring
                 (``obs trace|stats|top|watch|slo|alerts|journal``)
 ``gateway``     TCP/HTTP network front door with the quantized-RSSI
-                result cache (``gateway serve|bench``)
+                result cache (``gateway serve``)
+
+The recorded benchmarks (``BENCH_serving.json``, ``BENCH_inference.json``)
+run through ``python -m repro.bench run|smoke|check``.
 
 Every command is deterministic given ``--seed`` (timings aside).
 """
@@ -85,7 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="smoke mode: shrink iteration counts to run in seconds")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default="BENCH_inference.json",
-                       help="result JSON path (default: BENCH_inference.json)")
+                       help="record path; the run replaces only its "
+                            "`inference` section, and a --quick run never "
+                            "replaces a full one (default: "
+                            "BENCH_inference.json)")
     bench.add_argument("--check", action="store_true",
                        help="perf regression gate: compare against the recorded "
                             "baseline at --out instead of overwriting it; exits "
@@ -136,14 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "snapshot (machine-readable, same schema as "
                             "`obs stats`) instead of the human stats dump")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--bench", action="store_true",
-                       help="run the full worker-scaling + deadline-sweep + "
-                            "fault-tolerance benchmark and write --out")
     serve.add_argument("--quick", action="store_true",
                        help="smoke mode: shrink the load so everything runs "
                             "in seconds")
-    serve.add_argument("--out", default="BENCH_serving.json",
-                       help="benchmark JSON path (with --bench)")
 
     quantize = sub.add_parser(
         "quantize",
@@ -430,21 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stop after this many seconds "
                              "(default: run until Ctrl-C)")
 
-    gbench = gateway_sub.add_parser(
-        "bench",
-        help="network benchmark: connection-scaling curve, co-location/"
-             "cache-hit sweep, graceful-drain drill → the gateway section "
-             "of BENCH_serving.json",
-    )
-    gbench.add_argument("--quick", action="store_true",
-                        help="smoke mode: fewer clients/requests so the "
-                             "lanes run in seconds")
-    gbench.add_argument("--seed", type=int, default=0)
-    gbench.add_argument("--out", default="BENCH_serving.json",
-                        help="merged record path")
-    gbench.add_argument("--check", action="store_true",
-                        help="validate the recorded gateway gates instead "
-                             "of re-running")
     return parser
 
 
@@ -546,21 +532,25 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_infer_bench(args) -> int:
+    from repro import bench
     from repro.infer import (
         check_regression,
         format_check,
         format_summary,
-        load_baseline,
         run_inference_benchmark,
-        write_benchmark,
     )
 
     baseline = None
     if args.check:
         try:
-            baseline = load_baseline(args.out)
+            baseline = bench.SECTIONS["inference"].take(
+                bench.load(args.out, bench.SECTIONS["inference"].schema))
         except FileNotFoundError:
             print(f"no recorded baseline at {args.out}; run infer-bench "
+                  "without --check first")
+            return 2
+        if baseline is None:
+            print(f"{args.out} has no inference section; run infer-bench "
                   "without --check first")
             return 2
     result = run_inference_benchmark(
@@ -578,13 +568,17 @@ def _cmd_infer_bench(args) -> int:
         print()
         print(format_check(result, baseline, problems, path=args.out))
         return 1 if problems else 0
-    print(f"wrote {write_benchmark(result, args.out)}")
+    try:
+        print(f"wrote {bench.write('inference', result, args.out)}")
+    except ValueError as error:
+        print(error)
+        return 2
     return 0
 
 
-#: BLAS pinning for the serving benchmark: one BLAS thread per worker
-#: process, so the scaling sweep measures process sharding rather than
-#: BLAS oversubscription (mirrors benchmarks/bench_serving.py).
+#: BLAS pinning for the timing-sensitive commands: one BLAS thread per
+#: worker process, so multi-worker runs measure process sharding rather
+#: than BLAS oversubscription (the same pinning as ``repro.bench``).
 _BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1"}
 
@@ -609,36 +603,12 @@ def _reexec_with_pinned_blas() -> None:
 
 
 def _cmd_serve(args) -> int:
-    from repro.serve import (
-        LocalizationServer,
-        closed_loop_load,
-        format_summary,
-        make_session,
-        run_serving_benchmark,
-        write_benchmark,
-    )
-
-    if args.bench:
-        if args.snapshot:
-            print("--snapshot and --bench are mutually exclusive (the "
-                  "benchmark compiles its own sessions)")
-            return 2
-        result = run_serving_benchmark(
-            image_size=args.image_size,
-            num_classes=args.num_classes,
-            max_batch=args.max_batch,
-            quick=args.quick,
-            seed=args.seed,
-            transport=args.transport,
-        )
-        print()
-        print(format_summary(result))
-        print(f"wrote {write_benchmark(result, args.out)}")
-        return 0 if result["fault_tolerance"]["ok"] else 1
-
     import json
 
     import numpy as np
+
+    from repro.serve import LocalizationServer
+    from repro.serve.bench import closed_loop_load, make_session
 
     if args.snapshot:
         # Serve a saved snapshot — no retraining or compiling in-process.
@@ -831,7 +801,7 @@ def _fleet_serve(args) -> int:
     import numpy as np
 
     from repro.fleet import FleetServer, ModelRegistry
-    from repro.serve import closed_loop_load
+    from repro.serve.bench import closed_loop_load
 
     registry = ModelRegistry(args.registry)
     specs = []
@@ -903,7 +873,7 @@ def _fleet_swap(args) -> int:
     import numpy as np
 
     from repro.fleet import FleetServer, ModelRegistry
-    from repro.serve import closed_loop_load
+    from repro.serve.bench import closed_loop_load
 
     registry = ModelRegistry(args.registry)
     with FleetServer(registry, workers=args.workers,
@@ -1034,7 +1004,8 @@ def _obs_server(args, **kwargs):
     """A demo LocalizationServer + request pool for the obs subcommands."""
     import numpy as np
 
-    from repro.serve import LocalizationServer, make_session
+    from repro.serve import LocalizationServer
+    from repro.serve.bench import make_session
 
     session = make_session(args.image_size, args.num_classes,
                            args.max_batch, args.seed)
@@ -1113,7 +1084,7 @@ def _background_load(server, pool, args):
     """Start a closed-loop hammer thread; returns (stop_event, thread)."""
     import threading
 
-    from repro.serve import closed_loop_load
+    from repro.serve.bench import closed_loop_load
 
     stop = threading.Event()
 
@@ -1425,11 +1396,8 @@ def _cmd_obs(args) -> int:
 
 
 def _gateway_serve(args) -> int:
-    from repro.serve import (
-        GatewayServer,
-        LocalizationServer,
-        make_session,
-    )
+    from repro.serve import GatewayServer, LocalizationServer
+    from repro.serve.bench import make_session
 
     if args.snapshot:
         from repro.fleet import read_snapshot_file
@@ -1486,52 +1454,8 @@ def _gateway_serve(args) -> int:
     return 0
 
 
-def _gateway_bench(args) -> int:
-    import os
-
-    from repro.serve import (
-        GATEWAY_SCHEMA,
-        attach_gateway_section,
-        format_gateway_summary,
-        gateway_gates_ok,
-        load_record,
-        run_gateway_benchmark,
-        write_benchmark,
-    )
-
-    if args.check:
-        try:
-            record = load_record(args.out)
-        except (FileNotFoundError, ValueError) as error:
-            print(f"check failed: {error}")
-            return 1
-        gateway = record.get("gateway")
-        if not gateway:
-            print(f"{args.out}: no gateway section recorded; run "
-                  "`repro gateway bench` first")
-            return 1
-        print(format_gateway_summary(gateway))
-        return 0 if gateway_gates_ok(gateway) else 1
-
-    if os.path.exists(args.out):
-        try:
-            base = load_record(args.out)
-        except (ValueError, OSError):
-            base = {"schema": GATEWAY_SCHEMA,
-                    "config": {"note": "gateway-only record"}}
-    else:
-        base = {"schema": GATEWAY_SCHEMA,
-                "config": {"note": "gateway-only record"}}
-    gateway = run_gateway_benchmark(quick=args.quick, seed=args.seed)
-    merged = attach_gateway_section(base, gateway)
-    print()
-    print(format_gateway_summary(gateway))
-    print(f"wrote {write_benchmark(merged, args.out)}")
-    return 0 if gateway_gates_ok(gateway) else 1
-
-
 def _cmd_gateway(args) -> int:
-    handlers = {"serve": _gateway_serve, "bench": _gateway_bench}
+    handlers = {"serve": _gateway_serve}
     return handlers[args.gateway_command](args)
 
 

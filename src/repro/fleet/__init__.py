@@ -18,15 +18,12 @@ split into two layers:
   ``start_canary`` routes a fraction to a candidate and auto-promotes or
   auto-rolls-back on error-rate/p95 evidence (:class:`CanaryPolicy`).
 * :mod:`repro.fleet.bench` — the hot-swap / canary drills recorded as
-  the ``"fleet"`` section of ``BENCH_serving.json``
-  (schema ``repro.serve.bench.v2``; CLI: ``repro fleet``).
+  the ``fleet`` section of ``BENCH_serving.json`` (see
+  :mod:`repro.bench`).
 """
 
 from repro.fleet.bench import (
-    FLEET_SCHEMA,
-    attach_fleet_section,
     corrupt_snapshot,
-    fleet_gates_ok,
     format_fleet_summary,
     run_fleet_benchmark,
 )
@@ -49,10 +46,7 @@ __all__ = [
     "read_snapshot_file",
     "FleetServer",
     "CanaryPolicy",
-    "FLEET_SCHEMA",
     "run_fleet_benchmark",
-    "attach_fleet_section",
     "corrupt_snapshot",
-    "fleet_gates_ok",
     "format_fleet_summary",
 ]

@@ -1,8 +1,8 @@
 """Fleet benchmark: hot-swap latency, zero-lost drills, canary overhead.
 
-Four experiments against a live :class:`repro.fleet.FleetServer`, merged
-into ``BENCH_serving.json`` as its ``"fleet"`` section (bumping the file
-to schema ``repro.serve.bench.v2``; ``v1`` records stay readable):
+Four experiments against a live :class:`repro.fleet.FleetServer`,
+recorded as the ``fleet`` section of ``BENCH_serving.json`` (see
+:mod:`repro.bench`):
 
 * **hot_swap** — stream closed-loop traffic at a deployed model and swap
   it to a freshly published version mid-stream; record the swap latency
@@ -16,7 +16,7 @@ to schema ``repro.serve.bench.v2``; ``v1`` records stay readable):
 * **canary_overhead** — the same stream with and without an active
   canary split, read as a throughput overhead percentage.
 
-Run via ``python benchmarks/bench_fleet.py [--quick]``.
+Run via ``python -m repro.bench run fleet [--quick]``.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ import numpy as np
 from repro.fleet.registry import ModelRegistry
 from repro.fleet.server import FleetServer
 from repro.serve.bench import closed_loop_load, make_session
-
-#: Minimum schema a merged BENCH_serving.json record carries once the
-#: fleet section is attached (the serving sections themselves are
-#: unchanged); a record already on a newer schema keeps it.
-FLEET_SCHEMA = "repro.serve.bench.v2"
-
 
 def corrupt_snapshot(snapshot: dict) -> dict:
     """A structurally valid snapshot that restores but fails at predict.
@@ -215,30 +209,6 @@ def run_fleet_benchmark(
     finally:
         if own_dir:
             shutil.rmtree(root, ignore_errors=True)
-
-
-def attach_fleet_section(record: dict, fleet: dict) -> dict:
-    """Merge the fleet record into a serving benchmark record, bumping the
-    schema to at least :data:`FLEET_SCHEMA` — a record already on a newer
-    schema (v3's ``transport`` section) must not be downgraded."""
-    from repro.serve.bench import ACCEPTED_SCHEMAS
-
-    merged = dict(record)
-    merged["fleet"] = fleet
-    current = record.get("schema")
-    order = {schema: index for index, schema in enumerate(ACCEPTED_SCHEMAS)}
-    if order.get(current, -1) < order[FLEET_SCHEMA]:
-        merged["schema"] = FLEET_SCHEMA
-    return merged
-
-
-def fleet_gates_ok(fleet: dict) -> bool:
-    """The fleet acceptance gates: zero-lost swap, harmless rollback."""
-    return bool(
-        fleet["hot_swap"]["ok"]
-        and fleet["canary_rollback"]["ok"]
-        and fleet["canary_promote"]["ok"]
-    )
 
 
 def format_fleet_summary(fleet: dict) -> str:

@@ -13,7 +13,8 @@ contiguous float32 weights:
 * :func:`compile_module` / :func:`compile_chain` — a generic compiler for
   sequential dense stacks (the neural baselines).
 * :func:`run_inference_benchmark` — the latency/throughput benchmark
-  recorded in ``BENCH_inference.json`` (CLI: ``repro infer-bench``).
+  recorded as the ``inference`` section of ``BENCH_inference.json``
+  (CLI: ``repro infer-bench``).
 """
 
 from repro.infer.benchmark import (
@@ -21,9 +22,7 @@ from repro.infer.benchmark import (
     check_regression,
     format_check,
     format_summary,
-    load_baseline,
     run_inference_benchmark,
-    write_benchmark,
 )
 from repro.infer.compile import (
     AddConstant,
@@ -57,9 +56,7 @@ __all__ = [
     "AddConstant",
     "TokenMeanPool",
     "run_inference_benchmark",
-    "write_benchmark",
     "format_summary",
-    "load_baseline",
     "check_regression",
     "format_check",
     "REGRESSION_THRESHOLD",

@@ -8,36 +8,31 @@ Measures three serving lanes on the same model and inputs:
   closure-free fast path, still allocating per op);
 * ``fused``   — :class:`repro.infer.InferenceSession`.
 
-Results are written to ``BENCH_inference.json`` so every future PR has a
-recorded trajectory to regress against.  Schema (``repro.infer.bench.v3``)::
+The result is the ``inference`` section of ``BENCH_inference.json`` (see
+:mod:`repro.bench`, which owns the file, its schema and the recorded
+gates), so every future PR has a recorded trajectory to regress against::
 
     {
-      "schema": "repro.infer.bench.v3",
       "config": {model geometry, iteration counts, seed, threads},
       "single_sample": {
         "tape"|"no_grad"|"fused": {"p50_ms", "p99_ms", "mean_ms"},
-        "speedup_fused_vs_tape": float,   # acceptance floor: >= 3.0
+        "speedup_fused_vs_tape": float,   # recorded floor: >= 3.0
         "speedup_fused_vs_no_grad": float
       },
       "batch": {"batch_size", per-lane samples_per_s, "speedup_fused_vs_tape"},
       "equivalence": {"max_abs_diff", "argmax_match"},
-      "quantization": {...},  # v2: repro.quant trade-off record
-                              # (benchmarks/bench_quantization.py)
-      "kernels": {...}        # v3: int8-resident GEMM stack vs the
-                              # frozen PR-3 baseline (kernel_microbench)
+      "kernels": {...}   # int8-resident GEMM stack vs the frozen PR-3
+                         # baseline (kernel_microbench)
     }
 
-v2 adds the optional ``quantization`` section over v1; v3 adds the
-``kernels`` section.  Records written before the engine was collapsed
-onto one path also carry per-shape GEMM plans, a blocked-vs-naive fused
-A/B and bit-exactness flags there; nothing reads them any more.  The
-regression gate reads the shared keys of whatever sections a record
-carries, so ``--check`` accepts all three versions as baselines.
+The same file carries the ``quantization`` section
+(:mod:`repro.quant.benchmark`).  Records written before the engine was
+collapsed onto one path also carry per-shape GEMM plans, a
+blocked-vs-naive fused A/B and bit-exactness flags under ``kernels``;
+nothing reads them any more.
 """
-
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -50,15 +45,6 @@ from repro.vit.config import VitalConfig
 from repro.vit.model import VitalModel
 
 DEFAULT_OUTPUT = "BENCH_inference.json"
-
-#: Current record schema; ``load_baseline`` also accepts the listed
-#: predecessors (v2 added ``quantization``, v3 adds ``kernels``).
-SCHEMA = "repro.infer.bench.v3"
-COMPATIBLE_SCHEMAS = (
-    "repro.infer.bench.v1",
-    "repro.infer.bench.v2",
-    "repro.infer.bench.v3",
-)
 
 #: Minimum speedup of the tuned int8-resident GEMM stack over the PR-3
 #: dequant-tile baseline configuration, gated by ``infer-bench --check``
@@ -166,7 +152,7 @@ _BASELINE_QUANT_TILE = 64
 
 def kernel_microbench(session: InferenceSession, *, iters: int = 300,
                       seed: int = 0, quick: bool = False) -> dict:
-    """Int8-resident GEMM micro-benchmark → the ``kernels`` section (v3).
+    """Int8-resident GEMM micro-benchmark → the ``kernels`` section.
 
     Every encoder GEMM site of ``session`` (the non-head sites of
     :meth:`InferenceSession.gemm_sites`, at the single-sample folded
@@ -320,7 +306,6 @@ def run_inference_benchmark(
     fused_s = np.median(_time_repeated(fused_batch, batch_iters, warmup=1)) / 1e3
 
     result = {
-        "schema": SCHEMA,
         "config": {
             "image_size": image_size,
             "patch_size": model.patch_size,
@@ -356,16 +341,6 @@ def run_inference_benchmark(
 #: Default allowed relative worsening of fused p50 latency before
 #: ``infer-bench --check`` fails (the ROADMAP perf-regression gate).
 REGRESSION_THRESHOLD = 0.25
-
-
-def load_baseline(path: str = DEFAULT_OUTPUT) -> dict:
-    """Load a recorded inference baseline (schema v1, v2 or v3) from disk."""
-    with open(path) as handle:
-        baseline = json.load(handle)
-    schema = baseline.get("schema")
-    if schema not in COMPATIBLE_SCHEMAS:
-        raise ValueError(f"{path} is not an inference baseline (schema {schema!r})")
-    return baseline
 
 
 #: Config keys that must match for a latency comparison to mean anything:
@@ -412,8 +387,8 @@ def check_regression(
     different model geometry than the baseline are refused — comparing
     them would let a real regression hide behind a smaller model.
 
-    v3 results additionally gate their own ``kernels`` section
-    (:func:`check_kernel_gates`).
+    Fresh results additionally gate their own equivalence and ``kernels``
+    sections (:func:`check_equivalence`, :func:`check_kernel_gates`).
     """
     problems: list[str] = []
     incomparable = _incomparability(result, baseline)
@@ -427,25 +402,34 @@ def check_regression(
             f"fused single-sample p50 regressed: {new_p50:.3f} ms vs baseline "
             f"{old_p50:.3f} ms (> +{threshold:.0%} limit {limit:.3f} ms)"
         )
+    problems.extend(check_equivalence(result))
+    problems.extend(check_kernel_gates(result))
+    return problems
+
+
+def check_equivalence(result: dict) -> list[str]:
+    """The fused engine must reproduce the reference forward: same argmax
+    and max|Δlogit| below 1e-5 (empty list = pass)."""
+    problems = []
     if not result["equivalence"]["argmax_match"]:
         problems.append("fused argmax no longer matches the reference forward")
     if result["equivalence"]["max_abs_diff"] >= 1e-5:
         problems.append(
             f"fused max|Δlogit| {result['equivalence']['max_abs_diff']:.2e} >= 1e-5"
         )
-    problems.extend(check_kernel_gates(result))
     return problems
 
 
 def check_kernel_gates(result: dict) -> list[str]:
     """Gate a record's own ``kernels`` section (empty list = pass).
 
-    Shared by ``infer-bench --check`` and ``bench_kernels.py --check``
-    (which validates the committed record without re-timing).  Full
+    Shared by ``infer-bench --check`` and the recorded ``inference``
+    gates of :mod:`repro.bench` (which never re-time anything).  Full
     (non-quick) records must keep the int8-resident hot-GEMM speedup at
     least :data:`INT8_SPEEDUP_FLOOR` over the PR-3 reference.  Quick runs
-    and records without a ``kernels`` section (v1/v2) pass — 30-iteration
-    medians under CI noise would gate nothing real.
+    pass — 30-iteration medians under CI noise would gate nothing real —
+    and so do results without ``kernels`` (the recorded section always
+    owns one; :mod:`repro.bench` reports it missing).
     """
     if result.get("config", {}).get("quick"):
         return []
@@ -510,16 +494,6 @@ def format_check(
     return "\n".join(lines)
 
 
-def write_benchmark(result: dict, path: str = DEFAULT_OUTPUT) -> str:
-    """Write the benchmark record as pretty JSON; returns the path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def format_summary(result: dict) -> str:
     """Human-readable summary of a benchmark record."""
     single = result["single_sample"]
@@ -547,7 +521,7 @@ def format_summary(result: dict) -> str:
 
 
 def format_kernel_summary(kernels: dict) -> str:
-    """Human-readable summary of a ``kernels`` section (schema v3)."""
+    """Human-readable summary of a ``kernels`` section."""
     int8 = kernels["int8_resident"]
     hot_m, hot_k, hot_n = int8["hot_shape"]
     return "\n".join([

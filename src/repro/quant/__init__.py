@@ -19,13 +19,11 @@ must *execute* and *ship*.  This package closes the gap between
   :class:`repro.serve.LocalizationServer` workers with ~4x fewer pickled
   bytes than float32 snapshots;
 * :func:`run_quantization_benchmark` — the accuracy / latency / footprint
-  trade-off recorded under the ``quantization`` section of
-  ``BENCH_inference.json`` (CLI: ``repro quantize``,
-  ``benchmarks/bench_quantization.py``).
+  trade-off recorded as the ``quantization`` section of
+  ``BENCH_inference.json`` (``python -m repro.bench run quantization``).
 """
 
 from repro.quant.benchmark import (
-    attach_quantization_section,
     format_quantization_summary,
     run_quantization_benchmark,
 )
@@ -47,6 +45,5 @@ __all__ = [
     "SCHEMES",
     "MODES",
     "run_quantization_benchmark",
-    "attach_quantization_section",
     "format_quantization_summary",
 ]

@@ -1,7 +1,7 @@
 """Quantization trade-off benchmark: accuracy vs latency vs footprint.
 
-Two experiment groups, recorded under the ``quantization`` section of
-``BENCH_inference.json`` (schema ``repro.infer.bench.v3``):
+Two experiment groups, recorded as the ``quantization`` section of
+``BENCH_inference.json`` (see :mod:`repro.bench`):
 
 * **engine** — the fused ViT engine at the benchmark geometry: pickled
   snapshot bytes (float32 vs per-tensor int8 vs per-channel int8),
@@ -14,8 +14,8 @@ Two experiment groups, recorded under the ``quantization`` section of
   the dense baselines (SHERPA, CNNLoc) fake-quantized through
   :func:`repro.nn.quantize_model` at both granularities.
 
-Run via ``benchmarks/bench_quantization.py [--smoke]`` or the
-``repro quantize`` CLI's ``--bench`` companion lane.
+Run via ``python -m repro.bench run quantization [--quick]`` (``--quick``
+records a ``smoke`` run: fewer iterations and training epochs).
 """
 
 from __future__ import annotations
@@ -249,21 +249,6 @@ def run_quantization_benchmark(
         "engine": engine,
         "accuracy": accuracy,
     }
-
-
-def attach_quantization_section(result: dict, quantization: dict) -> dict:
-    """Merge a quantization record into an inference-benchmark record.
-
-    Bumps the schema to the current :data:`repro.infer.benchmark.SCHEMA`
-    (v3; the ``quantization`` section is what v2 added over v1, and
-    ``infer-bench`` itself records the v3 ``kernels`` section).
-    """
-    from repro.infer.benchmark import SCHEMA
-
-    merged = dict(result)
-    merged["schema"] = SCHEMA
-    merged["quantization"] = quantization
-    return merged
 
 
 def format_quantization_summary(record: dict) -> str:

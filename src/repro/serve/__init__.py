@@ -23,12 +23,13 @@ into an online serving system:
   (``profile=True``).
 * :mod:`repro.serve.bench` — the closed-loop load generator and the
   worker-scaling / batching-deadline / fault-tolerance / transport
-  benchmark recorded in ``BENCH_serving.json`` (CLI: ``repro serve``).
+  drills recorded in ``BENCH_serving.json`` (run through
+  :mod:`repro.bench`; the ``repro serve`` CLI is the load-gen demo).
 * :mod:`repro.serve.gateway` — the network front door: a selectors-based
   TCP/HTTP gateway (length-prefixed JSON frames + ``POST /localize``)
   with pipelining, per-connection backpressure, graceful drain, and a
   quantized-RSSI result cache that answers co-located repeats without
-  touching inference (CLI: ``repro gateway serve|bench``).
+  touching inference (CLI: ``repro gateway serve``).
 
 * :mod:`repro.serve.admission` — the QoS layer between submit and the
   dispatcher: declarative per-route :class:`QosPolicy` (priority class,
@@ -56,39 +57,12 @@ from repro.serve.admission import (
     save_qos_file,
 )
 from repro.serve.batcher import AdaptiveBatchPolicy, assemble_images
-from repro.serve.bench import (
-    ACCEPTED_SCHEMAS,
-    check_record,
-    closed_loop_load,
-    format_summary,
-    load_record,
-    make_session,
-    run_fault_tolerance_drill,
-    run_serving_benchmark,
-    run_transport_benchmark,
-    run_transport_parity,
-    write_benchmark,
-)
 from repro.serve.gateway import (
-    GATEWAY_SCHEMA,
     GatewayClient,
     GatewayError,
     GatewayServer,
     QuantizedResultCache,
-    attach_gateway_section,
-    format_gateway_summary,
-    gateway_gates_ok,
     http_localize,
-    run_gateway_benchmark,
-    run_gateway_smoke,
-)
-from repro.serve.qos_bench import (
-    attach_overload_section,
-    format_overload_summary,
-    overload_gates_ok,
-    run_overload_drill,
-    run_overload_smoke,
-    run_two_tenant_drill,
 )
 from repro.serve.server import DEFAULT_MODEL, LocalizationServer
 from repro.serve.shm import HAVE_SHM, RingAllocator, ShmRing, ShmTransportError
@@ -116,28 +90,11 @@ __all__ = [
     "ShardStats",
     "SnapshotTransport",
     "TransportStats",
-    "ACCEPTED_SCHEMAS",
-    "check_record",
-    "closed_loop_load",
-    "load_record",
-    "make_session",
-    "run_fault_tolerance_drill",
-    "run_serving_benchmark",
-    "run_transport_benchmark",
-    "run_transport_parity",
-    "format_summary",
-    "write_benchmark",
     "GatewayServer",
     "GatewayClient",
     "GatewayError",
     "QuantizedResultCache",
     "http_localize",
-    "GATEWAY_SCHEMA",
-    "attach_gateway_section",
-    "format_gateway_summary",
-    "gateway_gates_ok",
-    "run_gateway_benchmark",
-    "run_gateway_smoke",
     "PRIORITIES",
     "QosPolicy",
     "RouteOverloaded",
@@ -146,10 +103,4 @@ __all__ = [
     "Autoscaler",
     "load_qos_file",
     "save_qos_file",
-    "attach_overload_section",
-    "format_overload_summary",
-    "overload_gates_ok",
-    "run_overload_drill",
-    "run_overload_smoke",
-    "run_two_tenant_drill",
 ]

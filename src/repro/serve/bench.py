@@ -1,7 +1,7 @@
 """Serving benchmark: closed-loop load generation, scaling + deadline sweeps.
 
-Four experiments, recorded to ``BENCH_serving.json``
-(schema ``repro.serve.bench.v7``):
+Four experiments, recorded as the ``serving`` section of
+``BENCH_serving.json`` (see :mod:`repro.bench`):
 
 * **throughput_vs_workers** — closed-loop clients hammer the server with
   ``max_batch``-sized requests at worker counts 1/2/4; aggregate
@@ -23,13 +23,11 @@ Four experiments, recorded to ``BENCH_serving.json``
   worker count.  The acceptance gate is ≥30% lower per-batch dispatch
   overhead *or* ≥1.3x end-to-end samples/s for shm over pickle.
 
-Run via ``python -m repro.cli serve --bench`` or
-``python benchmarks/bench_serving.py``.
+Run via ``python -m repro.bench run serving``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
@@ -42,49 +40,6 @@ from repro.infer.benchmark import thread_config
 from repro.infer.session import InferenceSession
 from repro.serve import shm as shm_transport
 from repro.serve.server import LocalizationServer
-
-DEFAULT_OUTPUT = "BENCH_serving.json"
-SCHEMA = "repro.serve.bench.v7"
-
-#: Record schemas ``--check`` accepts: older records stay valid — v2 only
-#: *added* the optional ``"fleet"`` section (bench_fleet.py), v3 only
-#: adds the optional ``"transport"`` section, v4 only adds the optional
-#: ``"observability"`` section (bench_obs.py), v5 only adds the optional
-#: ``"monitoring"`` section (bench_monitor.py), v6 only adds the
-#: optional ``"gateway"`` section (bench_gateway.py), and v7 only adds
-#: the optional ``"overload"`` section (bench_overload.py); each section
-#: is gated only when present.
-ACCEPTED_SCHEMAS = (
-    "repro.serve.bench.v1",
-    "repro.serve.bench.v2",
-    "repro.serve.bench.v3",
-    "repro.serve.bench.v4",
-    "repro.serve.bench.v5",
-    "repro.serve.bench.v6",
-    "repro.serve.bench.v7",
-)
-
-#: Sections recorded by sibling benchmarks into the same file; a re-run
-#: of the serving sweep must carry them over, not silently drop them.
-PRESERVED_SECTIONS = ("fleet", "observability", "monitoring", "gateway",
-                      "overload")
-
-
-def merge_preserved_sections(result: dict, previous: dict | None) -> dict:
-    """Carry sibling benchmarks' sections from ``previous`` into a fresh
-    serving-sweep ``result`` (in place; returns ``result``).
-
-    ``bench_fleet.py``, ``bench_obs.py``, ``bench_monitor.py`` and
-    ``bench_gateway.py`` each merge their section into the shared record;
-    re-running ``bench_serving.py`` rebuilds only the core sweep sections,
-    so everything in :data:`PRESERVED_SECTIONS` is copied over when the
-    new run did not produce its own."""
-    if previous is not None:
-        for section in PRESERVED_SECTIONS:
-            if section in previous and section not in result:
-                result[section] = previous[section]
-    return result
-
 
 def make_session(
     image_size: int = 24,
@@ -282,7 +237,7 @@ def run_transport_parity(
     timeout: float = 60.0,
 ) -> dict:
     """Serve one workload under both transports; predictions must be
-    bit-identical (the CI gate behind ``bench_serving.py --parity``)."""
+    bit-identical (part of the ``serving`` smoke lane)."""
     session = make_session(image_size, num_classes, max_batch, seed)
     rng = np.random.default_rng(seed + 1)
     images = rng.standard_normal(
@@ -539,7 +494,6 @@ def run_serving_benchmark(
     peak = max(throughput_rows, key=lambda row: row["samples_per_s"])
     four = next((r for r in throughput_rows if r["workers"] == 4), None)
     result = {
-        "schema": SCHEMA,
         "config": {
             "image_size": image_size,
             "num_classes": num_classes,
@@ -589,171 +543,6 @@ def run_serving_benchmark(
     return result
 
 
-def load_record(path: str = DEFAULT_OUTPUT) -> dict:
-    """Load a recorded serving benchmark (any accepted schema)."""
-    with open(path) as handle:
-        record = json.load(handle)
-    schema = record.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        raise ValueError(
-            f"unsupported serving benchmark schema {schema!r} at {path} "
-            f"(accepted: {ACCEPTED_SCHEMAS})"
-        )
-    return record
-
-
-def check_record(record: dict) -> list[str]:
-    """Validate a recorded benchmark's gates; returns the problems found.
-
-    Accepts schema v1 (pre-fleet), v2 (adds ``"fleet"``), v3 (adds
-    ``"transport"``), v4 (adds ``"observability"``) and v5 (adds
-    ``"monitoring"``) records — each section is checked only when
-    present, so old records keep passing.
-    """
-    problems: list[str] = []
-    schema = record.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        return [f"unsupported schema {schema!r} (accepted: {ACCEPTED_SCHEMAS})"]
-    # Each section is gated only when present: v1 records have no fleet
-    # section, and a fleet-only record (bench_fleet.py against a fresh
-    # path) has no serving sweep sections.
-    drill = record.get("fault_tolerance")
-    if drill is not None:
-        if drill.get("lost", 1) != 0:
-            problems.append(f"fault-tolerance drill lost requests: {drill}")
-        if drill.get("ring_leases_after", 0) != 0:
-            problems.append(
-                f"fault-tolerance drill leaked ring leases: "
-                f"{drill['ring_leases_after']}"
-            )
-        if not drill.get("ok"):
-            problems.append("fault-tolerance drill did not pass")
-    transport = record.get("transport")
-    if transport is not None and transport.get("available"):
-        overhead = transport.get("dispatch_overhead_us", {})
-        reduction = overhead.get("reduction")
-        speedup = transport.get("end_to_end", {}).get("speedup_shm_vs_pickle")
-        if not ((reduction is not None and reduction >= 0.30)
-                or (speedup is not None and speedup >= 1.3)):
-            problems.append(
-                "transport gate failed: shm must cut per-batch dispatch "
-                f"overhead ≥30% (got {reduction}) or deliver ≥1.3x "
-                f"end-to-end samples/s (got {speedup})"
-            )
-    scaling = record.get("scaling")
-    # A hardware_limited record legitimately skips the scaling gate (v2
-    # records also carry the reason under scaling.skipped).
-    if scaling is not None and not scaling.get("hardware_limited") \
-            and not scaling.get("gate_2x_at_4_workers"):
-        problems.append(
-            f"scaling gate failed: {scaling.get('speedup_4_vs_1')}x at "
-            "4 workers (needs >= 2x)"
-        )
-    fleet = record.get("fleet")
-    if fleet is not None:
-        if fleet["hot_swap"].get("lost", 1) != 0 or not fleet["hot_swap"].get("ok"):
-            problems.append(f"fleet hot-swap drill failed: {fleet['hot_swap']}")
-        if not fleet["canary_rollback"].get("ok"):
-            problems.append(
-                f"fleet canary-rollback drill failed: {fleet['canary_rollback']}"
-            )
-    obs = record.get("observability")
-    if obs is not None:
-        spans = obs.get("span_chain", {})
-        if not spans.get("ok"):
-            problems.append(
-                "observability span-chain gate failed: every traced request "
-                f"must carry a complete chain whose span durations sum to "
-                f"within 10% of its end-to-end latency ({spans})"
-            )
-        overhead = obs.get("overhead", {})
-        if not overhead.get("enabled_ok"):
-            problems.append(
-                "observability overhead gate failed: 100% sampling must not "
-                f"regress p50 by more than 5% ({overhead.get('enabled_p50_ratio')})"
-            )
-        if not overhead.get("disabled_ok"):
-            problems.append(
-                "observability overhead gate failed: the tracing-disabled "
-                "path must be statistically indistinguishable from baseline "
-                f"({overhead.get('disabled_aa_ratio')})"
-            )
-    monitoring = record.get("monitoring")
-    if monitoring is not None:
-        overhead = monitoring.get("overhead", {})
-        if not overhead.get("enabled_ok"):
-            problems.append(
-                "monitoring overhead gate failed: the timeline sampler at "
-                "default cadence must not regress p50 by more than 5% "
-                f"({overhead.get('enabled_p50_ratio')})"
-            )
-        if not overhead.get("disabled_ok"):
-            problems.append(
-                "monitoring overhead gate failed: the monitor-disabled "
-                "arms must sit within the A/A noise floor "
-                f"({overhead.get('disabled_aa_ratio')})"
-            )
-        drill = monitoring.get("drift_drill", {})
-        if not drill.get("ok"):
-            problems.append(
-                "monitoring drift drill failed: detectors must flag the "
-                "injected shift within 3 sampling intervals with zero "
-                f"alerts on the calm arm ({drill})"
-            )
-    gateway = record.get("gateway")
-    if gateway is not None:
-        for row in gateway.get("connection_scaling", []):
-            if row.get("lost", 1) != 0:
-                problems.append(
-                    f"gateway connection-scaling lost requests at "
-                    f"{row.get('clients')} clients: {row.get('lost')}"
-                )
-        cache = gateway.get("cache_effectiveness", {})
-        if not cache.get("gate_cache_speedup"):
-            problems.append(
-                "gateway cache gate failed: hit-path p50 must be >= "
-                f"{cache.get('required_speedup', 5.0)}x lower than the "
-                f"miss path (got {cache.get('speedup_hit_vs_miss')}x, "
-                f"hits={cache.get('total_hits')})"
-            )
-        drain = gateway.get("drain_drill", {})
-        if not drain.get("gate_drain_zero_lost"):
-            problems.append(
-                "gateway drain gate failed: graceful shutdown under live "
-                f"clients must complete every accepted request ({drain})"
-            )
-    overload = record.get("overload")
-    if overload is not None:
-        drill = overload.get("overload_drill", {})
-        for gate, passed in drill.get("gates", {}).items():
-            if not passed:
-                problems.append(
-                    f"overload drill {gate} failed: admission control must "
-                    "keep goodput within 80% of capacity, shed batch-class "
-                    "first, hold interactive p95 inside its SLO and lose "
-                    f"zero accepted requests ({drill.get('classes')})"
-                )
-        tenants = overload.get("two_tenant_drill", {})
-        for gate, passed in tenants.get("gates", {}).items():
-            if not passed:
-                problems.append(
-                    f"two-tenant drill {gate} failed: a hot route must "
-                    "borrow shard share and return it after the burst with "
-                    f"zero lost requests ({tenants})"
-                )
-    return problems
-
-
-def write_benchmark(result: dict, path: str = DEFAULT_OUTPUT) -> str:
-    """Write the serving benchmark record as pretty JSON; returns the path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def format_summary(result: dict) -> str:
     """Human-readable summary of a serving benchmark record."""
     lines = [
@@ -795,41 +584,6 @@ def format_summary(result: dict) -> str:
             + (f"{speedup:.2f}x" if speedup is not None else "n/a")
             + f" → {'OK' if transport['gate_transport'] else 'FAIL'}"
         )
-    gateway = result.get("gateway")
-    if gateway is not None:
-        rows = gateway.get("connection_scaling", [])
-        if rows:
-            lines.append("  gateway connection scaling:")
-            for row in rows:
-                lines.append(
-                    f"    {row['clients']:4d} clients: "
-                    f"{row['requests_per_s']:8.0f} req/s, "
-                    f"p50 {row['latency_ms']['p50_ms']:.2f} ms, "
-                    f"lost={row['lost']}"
-                )
-        cache = gateway.get("cache_effectiveness", {})
-        speedup = cache.get("speedup_hit_vs_miss")
-        if speedup is not None:
-            lines.append(
-                f"  gateway cache: hit p50 {cache.get('hit_p50_ms'):.3f} ms "
-                f"vs miss p50 {cache.get('miss_p50_ms'):.3f} ms "
-                f"({speedup:.1f}x) → "
-                f"{'OK' if cache.get('gate_cache_speedup') else 'FAIL'}"
-            )
-        drain = gateway.get("drain_drill", {})
-        if drain:
-            lines.append(
-                f"  gateway drain: {drain.get('responded', 0)}/"
-                f"{drain.get('accepted', 0)} accepted requests completed, "
-                f"lost={drain.get('lost')} → "
-                f"{'OK' if drain.get('gate_drain_zero_lost') else 'FAIL'}"
-            )
-    overload = result.get("overload")
-    if overload is not None:
-        from repro.serve.qos_bench import format_overload_summary
-
-        for line in format_overload_summary(overload).splitlines():
-            lines.append("  " + line)
     scaling = result["scaling"]
     if scaling["hardware_limited"]:
         lines.append(

@@ -25,19 +25,11 @@ to parse request bodies) in front of a running
 * :mod:`~repro.serve.gateway.client` — :class:`GatewayClient` (pipelined
   framed-JSON) and :func:`http_localize` (one-shot HTTP).
 * :mod:`~repro.serve.gateway.bench` — the closed-loop *network* load
-  generator behind ``benchmarks/bench_gateway.py``: connection-scaling
-  curves, the co-location/cache-hit sweep, and the graceful-drain drill,
-  recorded as the ``"gateway"`` section of ``BENCH_serving.json``.
+  generator: connection-scaling curves, the co-location/cache-hit sweep,
+  and the graceful-drain drill, recorded as the ``gateway`` section of
+  ``BENCH_serving.json`` (see :mod:`repro.bench`).
 """
 
-from repro.serve.gateway.bench import (
-    GATEWAY_SCHEMA,
-    attach_gateway_section,
-    format_gateway_summary,
-    gateway_gates_ok,
-    run_gateway_benchmark,
-    run_gateway_smoke,
-)
 from repro.serve.gateway.cache import QuantizedResultCache
 from repro.serve.gateway.client import GatewayClient, GatewayError, http_localize
 from repro.serve.gateway.protocol import (
@@ -60,10 +52,4 @@ __all__ = [
     "error_response",
     "parse_request",
     "http_localize",
-    "GATEWAY_SCHEMA",
-    "attach_gateway_section",
-    "format_gateway_summary",
-    "gateway_gates_ok",
-    "run_gateway_benchmark",
-    "run_gateway_smoke",
 ]

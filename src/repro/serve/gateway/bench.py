@@ -1,7 +1,7 @@
 """Gateway benchmark: closed-loop *network* load against the front door.
 
-Three lanes, recorded as the ``"gateway"`` section of
-``BENCH_serving.json`` (schema ``repro.serve.bench.v6``):
+Three lanes, recorded as the ``gateway`` section of
+``BENCH_serving.json`` (see :mod:`repro.bench`):
 
 * **connection_scaling** — N simulated devices (16/64/256; each a thread
   owning one framed-JSON connection, snippet-3 style) run closed-loop
@@ -35,9 +35,6 @@ from repro.serve.bench import make_session
 from repro.serve.gateway.client import GatewayClient
 from repro.serve.gateway.server import GatewayServer
 from repro.serve.server import LocalizationServer
-
-#: Schema the shared record is bumped to when this section attaches.
-GATEWAY_SCHEMA = "repro.serve.bench.v6"
 
 #: The cache gate: recorded hit-path p50 must be at least this many
 #: times lower than the miss path.
@@ -479,32 +476,6 @@ def run_gateway_smoke(clients: int = 6, requests_per_client: int = 8,
         "problems": problems,
         "ok": not problems,
     }
-
-
-def attach_gateway_section(record: dict, gateway: dict) -> dict:
-    """Merge the gateway record into a serving benchmark record, bumping
-    the schema to at least :data:`GATEWAY_SCHEMA` — a record already on a
-    newer schema must not be downgraded."""
-    from repro.serve.bench import ACCEPTED_SCHEMAS
-
-    merged = dict(record)
-    merged["gateway"] = gateway
-    current = record.get("schema")
-    order = {schema: index for index, schema in enumerate(ACCEPTED_SCHEMAS)}
-    if order.get(current, -1) < order[GATEWAY_SCHEMA]:
-        merged["schema"] = GATEWAY_SCHEMA
-    return merged
-
-
-def gateway_gates_ok(gateway: dict) -> bool:
-    """The gateway acceptance gates: zero-lost scaling rows, the ≥5x
-    cache speedup, and the zero-lost drain drill."""
-    return bool(
-        all(row.get("lost", 1) == 0
-            for row in gateway.get("connection_scaling", []))
-        and gateway.get("cache_effectiveness", {}).get("gate_cache_speedup")
-        and gateway.get("drain_drill", {}).get("gate_drain_zero_lost")
-    )
 
 
 def format_gateway_summary(gateway: dict) -> str:

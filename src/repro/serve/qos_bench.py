@@ -1,7 +1,7 @@
 """Overload and elasticity drills for the admission-control layer.
 
 Two recorded experiments back the ``overload`` section of
-``BENCH_serving.json`` (schema ``repro.serve.bench.v7``):
+``BENCH_serving.json`` (see :mod:`repro.bench`):
 
 * :func:`run_overload_drill` — offered load far beyond capacity.  Phase
   one measures raw capacity with the plain closed-loop generator; phase
@@ -34,16 +34,11 @@ from repro.serve.bench import closed_loop_load, make_session
 from repro.serve.server import DEFAULT_MODEL, LocalizationServer
 
 __all__ = [
-    "OVERLOAD_SCHEMA",
-    "attach_overload_section",
     "format_overload_summary",
-    "overload_gates_ok",
     "run_overload_drill",
     "run_overload_smoke",
     "run_two_tenant_drill",
 ]
-
-OVERLOAD_SCHEMA = "repro.serve.bench.v7"
 
 #: Goodput under a sustained flood must stay within this fraction of the
 #: measured clean-room capacity — overload degrades, never collapses.
@@ -402,30 +397,6 @@ def run_two_tenant_drill(
         "gates": gates,
         "ok": all(gates.values()),
     }
-
-
-def attach_overload_section(record: dict, overload: dict) -> dict:
-    """Merge the overload record into a serving benchmark record, bumping
-    the schema to at least :data:`OVERLOAD_SCHEMA` — a record already on
-    a newer schema must not be downgraded."""
-    from repro.serve.bench import ACCEPTED_SCHEMAS
-
-    merged = dict(record)
-    merged["overload"] = overload
-    current = record.get("schema")
-    order = {schema: index for index, schema in enumerate(ACCEPTED_SCHEMAS)}
-    if order.get(current, -1) < order[OVERLOAD_SCHEMA]:
-        merged["schema"] = OVERLOAD_SCHEMA
-    return merged
-
-
-def overload_gates_ok(overload: dict) -> bool:
-    """The admission-control acceptance gates: the overload drill held
-    goodput with zero lost requests while shedding, and the two-tenant
-    drill moved share out and back without loss."""
-    drill = overload.get("overload_drill", {})
-    tenants = overload.get("two_tenant_drill", {})
-    return bool(drill.get("ok") and tenants.get("ok"))
 
 
 def format_overload_summary(overload: dict) -> str:

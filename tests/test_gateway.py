@@ -1,7 +1,7 @@
 """Network gateway: wire protocol hardening, the quantized result cache,
 end-to-end socket round trips, pipelining/backpressure, timeout/cancel
-hygiene, fleet swap invalidation, and the v6 benchmark record.  Tiny
-models throughout so the whole file runs in seconds."""
+hygiene and fleet swap invalidation.  Tiny models throughout so the
+whole file runs in seconds."""
 
 import json
 import socket
@@ -15,21 +15,12 @@ import pytest
 from repro.fleet import FleetServer, ModelRegistry
 from repro.infer import InferenceSession
 from repro.serve import LocalizationServer
-from repro.serve.bench import (
-    ACCEPTED_SCHEMAS,
-    SCHEMA,
-    check_record,
-    merge_preserved_sections,
-)
 from repro.serve.gateway import (
-    GATEWAY_SCHEMA,
     GatewayClient,
     GatewayError,
     GatewayServer,
     QuantizedResultCache,
-    attach_gateway_section,
     encode_frame,
-    gateway_gates_ok,
     http_localize,
     protocol,
 )
@@ -629,77 +620,6 @@ class TestStatsAndMetrics:
         assert f":{gateway.port}" in row
         assert "cache" in row
         assert _format_gateway_row(None) is None
-
-
-class TestBenchRecord:
-    def _gateway_section(self, *, speedup=10.0, lost=0, drain_lost=0):
-        return {
-            "config": {"image_size": 16, "num_classes": 16,
-                       "max_batch": 32, "workers": 2, "quick": True,
-                       "seed": 0},
-            "connection_scaling": [
-                {"clients": 16, "requests_per_s": 500.0, "lost": lost,
-                 "latency_ms": {"p50_ms": 5.0}},
-            ],
-            "cache_effectiveness": {
-                "total_hits": 40, "hit_p50_ms": 0.1,
-                "miss_p50_ms": 0.1 * speedup,
-                "speedup_hit_vs_miss": speedup, "required_speedup": 5.0,
-                "gate_cache_speedup": speedup >= 5.0,
-            },
-            "drain_drill": {"accepted": 100, "responded": 100 - drain_lost,
-                            "lost": drain_lost,
-                            "gate_drain_zero_lost": drain_lost == 0},
-        }
-
-    def test_attach_bumps_schema_never_downgrades(self):
-        assert GATEWAY_SCHEMA == "repro.serve.bench.v6"
-        assert SCHEMA == "repro.serve.bench.v7"  # overload section's bump
-        old = {"schema": "repro.serve.bench.v2", "fleet": {"x": 1}}
-        merged = attach_gateway_section(old, self._gateway_section())
-        assert merged["schema"] == GATEWAY_SCHEMA
-        assert merged["fleet"] == {"x": 1}  # siblings survive
-        assert old["schema"] == "repro.serve.bench.v2"  # input untouched
-        again = attach_gateway_section(merged, self._gateway_section())
-        assert again["schema"] == GATEWAY_SCHEMA
-
-    def test_serving_rerun_preserves_gateway_section(self):
-        """The pin for bench_serving.py re-runs: every sibling section —
-        including the new gateway one — survives a fresh serving sweep."""
-        previous = {"schema": GATEWAY_SCHEMA, "fleet": {"a": 1},
-                    "observability": {"b": 2}, "monitoring": {"c": 3},
-                    "gateway": self._gateway_section()}
-        fresh = {"schema": GATEWAY_SCHEMA, "throughput_vs_workers": []}
-        merged = merge_preserved_sections(fresh, previous)
-        for section in ("fleet", "observability", "monitoring", "gateway"):
-            assert merged[section] == previous[section]
-        # A section the new run *did* produce is never overwritten.
-        own = {"schema": GATEWAY_SCHEMA,
-               "gateway": self._gateway_section(speedup=7.0)}
-        merged = merge_preserved_sections(own, previous)
-        assert merged["gateway"]["cache_effectiveness"][
-            "speedup_hit_vs_miss"] == 7.0
-        assert merge_preserved_sections({"schema": GATEWAY_SCHEMA},
-                                        None) == {"schema": GATEWAY_SCHEMA}
-
-    def test_check_record_gates_gateway_section(self):
-        good = {"schema": GATEWAY_SCHEMA,
-                "gateway": self._gateway_section()}
-        assert check_record(good) == []
-        assert gateway_gates_ok(good["gateway"])
-        for bad in (
-            {"schema": GATEWAY_SCHEMA,
-             "gateway": self._gateway_section(lost=3)},
-            {"schema": GATEWAY_SCHEMA,
-             "gateway": self._gateway_section(speedup=2.0)},
-            {"schema": GATEWAY_SCHEMA,
-             "gateway": self._gateway_section(drain_lost=1)},
-        ):
-            assert check_record(bad), bad
-            assert not gateway_gates_ok(bad["gateway"])
-        # v1–v5 records without a gateway section keep passing.
-        for schema in ACCEPTED_SCHEMAS[:-1]:
-            assert check_record({"schema": schema}) == []
 
 
 class TestGracefulDrain:

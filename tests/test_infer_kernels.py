@@ -264,6 +264,6 @@ class TestDefaultEngineGate:
         assert check_kernel_gates({}) == []
 
     def test_committed_record_passes(self):
-        from repro.infer.benchmark import load_baseline
-        record = load_baseline(os.path.join(ROOT, "BENCH_inference.json"))
+        from repro.bench import load
+        record = load(os.path.join(ROOT, "BENCH_inference.json"))
         assert check_kernel_gates(record) == []

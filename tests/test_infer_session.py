@@ -430,7 +430,6 @@ class TestRegressionGate:
     def _record(p50_ms: float, max_abs_diff: float = 1e-7,
                 argmax_match: bool = True) -> dict:
         return {
-            "schema": "repro.infer.bench.v1",
             "single_sample": {"fused": {"p50_ms": p50_ms}},
             "equivalence": {"max_abs_diff": max_abs_diff,
                             "argmax_match": argmax_match},

@@ -575,7 +575,8 @@ class TestSatellites:
 
 @pytest.fixture(scope="module")
 def tiny_server(tmp_path_factory):
-    from repro.serve import LocalizationServer, make_session
+    from repro.serve import LocalizationServer
+    from repro.serve.bench import make_session
 
     journal = tmp_path_factory.mktemp("monitor") / "journal.jsonl"
     session = make_session(image_size=12, num_classes=4, seed=0)
@@ -622,7 +623,8 @@ class TestServerIntegration:
         assert any(e["kind"] == "alert" for e in events)
 
     def test_monitor_disabled_by_default(self):
-        from repro.serve import LocalizationServer, make_session
+        from repro.serve import LocalizationServer
+        from repro.serve.bench import make_session
         session = make_session(image_size=12, num_classes=4, seed=0)
         server = LocalizationServer(session, workers=1)
         assert server.monitor is None
@@ -633,7 +635,7 @@ class TestFleetJournal:
     @pytest.mark.slow
     def test_fleet_lifecycle_events_reach_journal(self, tmp_path):
         from repro.fleet import FleetServer, ModelRegistry
-        from repro.serve import make_session
+        from repro.serve.bench import make_session
 
         registry_dir = tmp_path / "registry"
         journal = tmp_path / "journal.jsonl"

@@ -11,8 +11,8 @@ from repro.serve import (
     LatencyReservoir,
     LocalizationServer,
     ShardStats,
-    run_fault_tolerance_drill,
 )
+from repro.serve.bench import run_fault_tolerance_drill
 from repro.vit import VitalConfig, VitalModel
 
 

@@ -302,7 +302,7 @@ class TestServerShmTransport:
             assert ring["live_leases"] == 0  # rejected leases were freed
 
     def test_worker_crash_reclaims_leases_and_loses_nothing(self, session, images):
-        from repro.serve import run_fault_tolerance_drill
+        from repro.serve.bench import run_fault_tolerance_drill
 
         drill = run_fault_tolerance_drill(
             session, images, requests=20, request_size=4, workers=2,
@@ -337,7 +337,7 @@ class TestServerShmTransport:
             ShmWorkerRing(ring_name)  # the segment is gone exactly once
 
     def test_transport_parity_bit_identical(self):
-        from repro.serve import run_transport_parity
+        from repro.serve.bench import run_transport_parity
 
         report = run_transport_parity(image_size=12, num_classes=8,
                                       max_batch=8, samples=24, workers=1)
