@@ -16,7 +16,8 @@ name to the file it lives in, the top-level keys it owns, its ``run`` and
 * ``run`` measures the named sections (all of them when none are named),
   prints each summary, and writes each through :func:`write`.  A write
   replaces only that section's keys, so the other sections in the file
-  survive.  It refuses to put a ``--quick`` record over a full one.
+  survive.  It refuses to put a ``--quick`` record over a full one,
+  and says so before running anything (:func:`write_refusal`).
   Exit status 1 when a gate fails.
 * ``smoke`` is the CI lane: a short run of each section's drills, gated
   on what a short run can show.  It writes nothing.
@@ -137,22 +138,43 @@ def load(path: str, schema: str | None = None) -> dict:
     return record
 
 
+def write_refusal(name: str, quick: bool,
+                  path: str | None = None) -> str | None:
+    """Why a record of section ``name`` (a quick one when ``quick``) may
+    not be written to ``path`` (its own file by default), or None when it
+    may.  The file must carry its schema, and a quick value never
+    replaces a full one, because quick runs skip the wall-clock floors.
+    :func:`write` enforces it; ``run`` and ``infer-bench`` ask it before
+    they measure anything, so a refused write costs no benchmark run."""
+    section = SECTIONS[name]
+    path = path or section.file
+    try:
+        old = section.take(load(path, section.schema))
+    except FileNotFoundError:
+        return None
+    except ValueError as error:
+        return str(error)
+    if quick and old is not None and not is_quick(old):
+        return (f"refusing to write a quick {name} record over the full "
+                f"one in {path}; pass --out")
+    return None
+
+
 def write(name: str, value: dict, path: str | None = None) -> str:
     """Write one section into its record file; returns the path.
 
     Only the section's own keys are replaced, so every other section in
-    the file is kept as it was.  A quick value never replaces a full one
-    (ValueError): quick runs skip the wall-clock floors."""
+    the file is kept as it was.  A write :func:`write_refusal` refuses
+    raises ValueError and leaves the file as it was."""
     section = SECTIONS[name]
     path = path or section.file
+    refusal = write_refusal(name, is_quick(value), path)
+    if refusal is not None:
+        raise ValueError(refusal)
     try:
         record = load(path, section.schema)
     except FileNotFoundError:
         record = {"schema": section.schema}
-    old = section.take(record)
-    if old is not None and is_quick(value) and not is_quick(old):
-        raise ValueError(f"refusing to write a quick {name} record over the "
-                         f"full one in {path}; pass --out")
     section.put(record, value)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -478,7 +500,12 @@ def check(names: list[str], out: str | None = None) -> list[str]:
 
 def run(names: list[str], quick: bool = False, seed: int = 0,
         out: str | None = None) -> list[str]:
-    """Measure, summarize, gate and write each named section."""
+    """Measure, summarize, gate and write each named section.  Raises
+    ValueError before anything runs when a write would be refused."""
+    for name in names:
+        refusal = write_refusal(name, quick, out)
+        if refusal is not None:
+            raise ValueError(refusal)
     problems = []
     for name in names:
         section = SECTIONS[name]

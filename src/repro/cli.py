@@ -541,7 +541,12 @@ def _cmd_infer_bench(args) -> int:
     )
 
     baseline = None
-    if args.check:
+    if not args.check:
+        refusal = bench.write_refusal("inference", args.quick, args.out)
+        if refusal is not None:
+            print(refusal)
+            return 2
+    else:
         try:
             baseline = bench.SECTIONS["inference"].take(
                 bench.load(args.out, bench.SECTIONS["inference"].schema))
@@ -568,11 +573,7 @@ def _cmd_infer_bench(args) -> int:
         print()
         print(format_check(result, baseline, problems, path=args.out))
         return 1 if problems else 0
-    try:
-        print(f"wrote {bench.write('inference', result, args.out)}")
-    except ValueError as error:
-        print(error)
-        return 2
+    print(f"wrote {bench.write('inference', result, args.out)}")
     return 0
 
 

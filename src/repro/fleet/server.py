@@ -446,7 +446,7 @@ class FleetServer(LocalizationServer):
         primary = self._routes.get(model) if model else None
         if primary is None or primary == batch.key:
             return False
-        route = self._route_stats.setdefault(batch.key, RouteStats())
+        route = self._route_stats_for(batch.key)
         for _request in batch.requests:
             route.record_retry()
         canary = self._canaries.get(model)

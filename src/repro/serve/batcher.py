@@ -2,15 +2,20 @@
 
 The dispatcher coalesces pending requests into one worker batch.  Waiting
 longer fills bigger batches (better throughput); dispatching sooner cuts
-queueing latency.  :class:`AdaptiveBatchPolicy` decides *how long to keep
+queueing latency.  Coalescing only pays while every worker is busy: the
+dispatcher is work-conserving, so while some live shard has no
+outstanding work whatever is pending dispatches at once, without asking
+the policy, and a shard going idle ends a wait in progress.  While every
+shard is busy, :class:`AdaptiveBatchPolicy` decides *how long to keep
 waiting* from two signals:
 
 * a hard latency deadline (``max_delay_ms`` after the oldest pending
   request arrived) — the worst-case batching delay a request can pay;
-* an exponential moving average of request inter-arrival time — if the
-  observed arrival rate cannot plausibly fill the remaining batch slots
-  before the deadline, the policy stops waiting *now* instead of burning
-  the full deadline on traffic that is not coming.
+* an exponential moving average of request inter-arrival time — the
+  wait is the shorter of the remaining deadline and the time the
+  observed arrival rate needs to fill the remaining batch slots.  Fast
+  traffic therefore waits only as long as the batch takes to fill;
+  traffic too slow to fill it waits out the deadline.
 
 The policy is pure (no threads, no clocks of its own): the dispatcher
 feeds it timestamps and pending counts, and it answers with a wait budget
@@ -54,14 +59,18 @@ def assemble_images(blocks: list[np.ndarray],
 class AdaptiveBatchPolicy:
     """Decide how long the dispatcher may keep coalescing a batch.
 
+    The dispatcher only asks while every live shard is busy (see the
+    module docstring); an idle shard takes pending work at once.
+
     Parameters
     ----------
     max_batch:
         Target batch capacity in samples (a single oversized request still
         dispatches alone; the worker chunks it internally).
     max_delay_ms:
-        Hard ceiling on how long the oldest pending request may wait
-        before its batch is dispatched, full or not.
+        Hard ceiling on how long the oldest pending request may wait,
+        while every shard is busy, before its batch is dispatched, full
+        or not.
     ema_alpha:
         Smoothing factor of the inter-arrival EMA (higher = adapts
         faster to traffic changes).
@@ -103,7 +112,10 @@ class AdaptiveBatchPolicy:
         is clamped to half of it, so a request near its deadline
         dispatches (possibly in a partial batch) instead of expiring in
         the coalescing wait.  Returns 0 when the batch should be
-        dispatched immediately.
+        dispatched immediately: it is full, or the deadline has come.
+        Otherwise the budget is the remaining deadline, cut to the
+        expected fill time when the inter-arrival EMA says the batch
+        fills sooner.
         """
         if pending_samples >= self.max_batch:
             return 0.0  # full batch — never wait

@@ -33,7 +33,15 @@ clients emit by default -- still reach request validation and get
 ``bad_json`` error like any other undecodable body: a ``RecursionError``
 escaping the decoder would kill the gateway's event-loop thread.
 Integers outside the 64-bit range parse as floats, so request ids must
-fit in 64 bits.  Responses are encoded with stdlib ``json``.
+fit in 64 bits.
+
+Responses of both encodings are serialized by :func:`encode_response`
+with ``orjson`` (on a 2-vCPU Xeon host a 63-logit response took ~45 us
+with stdlib ``json``, ~2.6 us with orjson); every float parses back to
+the same value under either parser.  orjson writes NaN as ``null``, so
+the gateway answers non-finite logits with ``server_error`` before they
+reach the encoder.
+Request frames built by :func:`encode_frame` stay stdlib ``json`` bytes.
 """
 
 from __future__ import annotations
@@ -81,6 +89,28 @@ def encode_frame(obj) -> bytes:
     spell some floats differently (orjson writes ``1e-7`` where
     ``json.dumps`` writes ``1e-07``)."""
     body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return HEADER.pack(len(body)) + body
+
+
+def encode_response(obj) -> bytes:
+    """Serialize one response object (framed or HTTP body) to compact
+    UTF-8 JSON.
+
+    orjson covers every response the gateway builds, ``/stats``
+    included.  What orjson refuses (non-str dict keys, integers past 64
+    bits) is encoded by stdlib ``json``: an exception here would kill the
+    gateway's event-loop thread.  Such a value can come from the wire: a
+    request id past 64 bits in a body only stdlib ``json`` parses (one
+    holding ``NaN``) is echoed in its ``bad_request`` answer."""
+    try:
+        return orjson.dumps(obj)
+    except TypeError:  # orjson.JSONEncodeError
+        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def response_frame(obj) -> bytes:
+    """One framed response: length prefix + :func:`encode_response`."""
+    body = encode_response(obj)
     return HEADER.pack(len(body)) + body
 
 

@@ -38,7 +38,6 @@ invalidated from the fleet's lifecycle events (swap / canary), wired via
 
 from __future__ import annotations
 
-import json
 import selectors
 import socket
 import threading
@@ -272,6 +271,7 @@ class GatewayServer:
 
     # -- event loop ------------------------------------------------------
     def _loop(self) -> None:
+        next_tick = 0.0
         while True:
             try:
                 events = self._sel.select(timeout=_TICK_S)
@@ -290,7 +290,12 @@ class GatewayServer:
                 else:
                     self._conn_ready(what, _mask)
             self._drain_completions()
-            self._tick()
+            # Deadlines are checked every _TICK_S, not on every wake-up
+            # (two per request): the scan walks every pending request.
+            now = time.monotonic()
+            if now >= next_tick:
+                next_tick = now + _TICK_S
+                self._tick(now)
             if self._draining and self._drain_finished():
                 break
         self._shutdown_loop()
@@ -638,13 +643,17 @@ class GatewayServer:
         size, channels = info["image_size"], info["channels"]
         expected = size * size * channels
         try:
-            x = np.asarray(fingerprint, dtype=np.float32)
+            # fromiter skips asarray's type-discovery pass over the list
+            # (~34 vs ~57 us for 1728 floats); the one float64 -> float32
+            # rounding gives the same values.
+            x = np.fromiter(fingerprint, np.float64, len(fingerprint)) \
+                .astype(np.float32)
         except (ValueError, TypeError):
             self._queue_response(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST,
                 "fingerprint must be numeric"))
             return
-        if x.size != expected or not np.all(np.isfinite(x)):
+        if x.size != expected or not np.isfinite(x).all():
             self._queue_response(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST,
                 f"fingerprint must hold {expected} finite values "
@@ -729,6 +738,14 @@ class GatewayServer:
                 payload = protocol.error_response(
                     entry.client_id, protocol.E_SERVER_ERROR, str(error))
             if payload is None:
+                row = np.asarray(logits)[0]
+                if not np.isfinite(row).all():
+                    # orjson would write NaN as null: refuse it outright,
+                    # and never cache it.
+                    payload = protocol.error_response(
+                        entry.client_id, protocol.E_SERVER_ERROR,
+                        "model produced non-finite logits")
+            if payload is None:
                 done = time.perf_counter()
                 self.latency_miss.add((done - entry.started) * 1e3)
                 if entry.cache_key is not None:
@@ -748,8 +765,7 @@ class GatewayServer:
                                            Span("cache_miss", done, done),
                                        ])
                 payload = {"id": entry.client_id, "ok": True,
-                           "cache": "miss",
-                           "logits": np.asarray(logits)[0].tolist()}
+                           "cache": "miss", "logits": row.tolist()}
             self.requests_responded += 1
             conn.inflight = max(0, conn.inflight - 1)
             conn.seen_ids.discard(entry.client_id)
@@ -777,7 +793,7 @@ class GatewayServer:
                 obj = protocol.error_response(
                     obj.get("id"), protocol.E_OVERLOADED,
                     "write buffer over cap; response payload shed")
-            data = protocol.encode_frame(obj)
+            data = protocol.response_frame(obj)
         conn.outbuf += data
         if len(conn.outbuf) > 4 * self.write_buffer_cap:
             # Even shed-size responses cannot drain: the client is gone
@@ -801,7 +817,7 @@ class GatewayServer:
                   413: "Payload Too Large", 500: "Internal Server Error",
                   503: "Service Unavailable",
                   504: "Gateway Timeout"}.get(status, "Error")
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        body = protocol.encode_response(obj)
         retry_after = ""
         if status == 503:
             # Retry-After is integral seconds per RFC 9110; round up so
@@ -816,8 +832,7 @@ class GatewayServer:
         return head + body
 
     # -- periodic maintenance ---------------------------------------------
-    def _tick(self) -> None:
-        now = time.monotonic()
+    def _tick(self, now: float) -> None:
         for sid, entry in list(self._pending.items()):
             if entry.deadline is not None and now > entry.deadline:
                 self._pending.pop(sid, None)

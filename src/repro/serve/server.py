@@ -22,9 +22,10 @@ Architecture::
   loads one key per deployed model version and hot-swaps between them.
 * Requests carry a model id; the dispatcher resolves it to a route key at
   dispatch time (so a routing flip instantly redirects queued traffic),
-  coalesces same-key requests up to ``max_batch`` samples or an adaptive
-  latency deadline (:mod:`repro.serve.batcher`), and routes each batch to
-  the shard with the fewest outstanding samples.
+  dispatches at once while a shard is idle, otherwise coalesces same-key
+  requests up to ``max_batch`` samples or an adaptive latency deadline
+  (:mod:`repro.serve.batcher`), and routes each batch to the shard with
+  the fewest outstanding samples.
 * Batch payloads default to the **zero-copy shared-memory transport**
   (:mod:`repro.serve.shm`): the dispatcher writes each micro-batch's
   float32 image block straight into the target shard's ring segment and
@@ -47,6 +48,7 @@ Architecture::
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing as mp
 import pickle
 import threading
@@ -206,7 +208,7 @@ class _Request:
                  "traced", "breakdown", "on_done", "priority", "deadline")
 
     def __init__(self, request_id: int, images: np.ndarray, model: str,
-                 on_done=None, priority: str = "standard",
+                 enqueued: float, on_done=None, priority: str = "standard",
                  deadline: float | None = None):
         self.id = request_id
         self.images = images
@@ -214,13 +216,13 @@ class _Request:
         self.model = model
         self.routed_key: str | None = None  # sticky dispatch-time resolution
         self.forced_key: str | None = None  # canary-retry pin to the incumbent
-        self.enqueued = time.perf_counter()
+        self.enqueued = enqueued  # perf_counter when submit() was entered
         self.event = threading.Event()
         self.result: np.ndarray | None = None
         self.error: str | None = None
         self.error_code: str | None = None  # wire code ("timeout", …)
         self.traced = False  # sampling decision, made once at submit
-        self.breakdown: dict | None = None  # span chain when traced
+        self.breakdown = None  # RequestTrace when traced
         self.on_done = on_done  # completion callback (gateway wakeup)
         self.priority = priority  # QoS class (admission.PRIORITIES)
         self.deadline = deadline  # absolute perf_counter deadline, or None
@@ -297,6 +299,8 @@ class LocalizationServer:
         ``max_batch`` (32 when starting empty).
     max_delay_ms:
         Hard ceiling on batching delay before a partial batch dispatches.
+        The delay only applies while every live shard is busy; an idle
+        shard takes pending requests at once.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork`` (cheap,
         zero-copy snapshot) and falls back to ``spawn``.
@@ -549,8 +553,16 @@ class LocalizationServer:
         self._transports[key] = SnapshotTransport(
             snapshot.get("format"), len(pickle.dumps(snapshot))
         )
-        self._route_stats.setdefault(key, RouteStats())
+        self._route_stats_for(key)
         return info
+
+    def _route_stats_for(self, key: str) -> RouteStats:
+        """The stats of route ``key``, created on first use (a lookup on
+        every later call: no throwaway ``RouteStats`` per batch)."""
+        stats = self._route_stats.get(key)
+        if stats is None:
+            stats = self._route_stats[key] = RouteStats()
+        return stats
 
     # -- single-model convenience geometry (the default route's) --------
     @property
@@ -970,6 +982,7 @@ class LocalizationServer:
         completion event is set.  It runs on a server-internal thread with
         the bookkeeping lock held, so it must only hand off (enqueue +
         wake), never block or call back into the server."""
+        entered = time.perf_counter()  # the trace's enqueue span starts here
         if not self._started:
             raise RuntimeError("server not started (call start() or use `with`)")
         if self._stopping:
@@ -991,8 +1004,9 @@ class LocalizationServer:
         x = self._coerce(images, self._model_info[route])
         deadline = (time.perf_counter() + float(deadline_ms) / 1e3
                     if deadline_ms is not None else None)
-        request = _Request(next(self._request_ids), x, model, on_done=on_done,
-                           priority=priority, deadline=deadline)
+        request = _Request(next(self._request_ids), x, model, entered,
+                           on_done=on_done, priority=priority,
+                           deadline=deadline)
         with self._lock:
             self._requests[request.id] = request
             self._submitted += 1
@@ -1097,7 +1111,8 @@ class LocalizationServer:
             self._requests.pop(request_id, None)
         if request.error is not None:
             self._raise_request_error(request_id, request)
-        return request.result, request.breakdown
+        trace = request.breakdown
+        return request.result, (trace.to_dict() if trace is not None else None)
 
     def cancel(self, request_id: int) -> bool:
         """Abandon a submitted request and release its bookkeeping.
@@ -1271,9 +1286,22 @@ class LocalizationServer:
                 slack = remaining
         return slack
 
+    def _idle_shard(self) -> bool:
+        """Whether some live shard has no outstanding work.  Read without
+        the bookkeeping lock: a stale value costs at most one early or
+        one timed dispatch, never a request."""
+        return any(s.outstanding == 0 and not s.failed for s in self._shards)
+
     def _gather_batch(self) -> tuple[str | None, list[_Request]]:
         """Coalesce pending same-route requests per the adaptive policy;
         blocks until there is something to dispatch or the server stops.
+
+        Work-conserving: while a live shard is idle, whatever is pending
+        dispatches at once — a lone request never waits for a partner a
+        free worker does not need.  Only while every live shard is busy
+        does the policy's coalescing wait apply, capped by
+        ``max_delay_ms``; a shard going idle ends that wait early (the
+        collector wakes the dispatcher).
 
         Admission-control duties on the way: already-expired requests
         are culled before they cost a batch slot, the batching delay is
@@ -1288,7 +1316,7 @@ class LocalizationServer:
                 self._cull_expired(time.perf_counter())
                 if self._pending:
                     break
-            while True:
+            while not self._idle_shard():
                 now = time.perf_counter()
                 pending_samples = sum(r.n for r in self._pending)
                 oldest_age = now - self._pending[0].enqueued
@@ -1368,8 +1396,8 @@ class LocalizationServer:
                 in_shape = (n, info["image_size"], info["image_size"],
                             info["channels"])
                 out_shape = (n, info["num_classes"])
-                in_bytes = shm_transport.align(4 * int(np.prod(in_shape)))
-                out_bytes = shm_transport.align(4 * int(np.prod(out_shape)))
+                in_bytes = shm_transport.align(4 * math.prod(in_shape))
+                out_bytes = shm_transport.align(4 * math.prod(out_shape))
                 oversized = in_bytes + out_bytes > shard.ring.capacity
                 offset = None if oversized \
                     else shard.ring.allocate(in_bytes + out_bytes)
@@ -1384,9 +1412,7 @@ class LocalizationServer:
                     # the pickle transport rather than stall or drop it.
                     transport, offset = "pickle", None
                     self._transport_totals.record_spill()
-                    self._route_stats.setdefault(
-                        key, RouteStats()
-                    ).transport.record_spill()
+                    self._route_stats_for(key).transport.record_spill()
                     break
                 # Wait (releasing _lock) for the collector to free leases;
                 # shard health may change meanwhile, so re-pick on wake.
@@ -1425,9 +1451,8 @@ class LocalizationServer:
             shard.outstanding += batch.n
             shard.stats.record_dispatch(batch.n)
             self._transport_totals.record_batch(transport, payload_bytes)
-            self._route_stats.setdefault(
-                key, RouteStats()
-            ).transport.record_batch(transport, payload_bytes)
+            self._route_stats_for(key).transport.record_batch(
+                transport, payload_bytes)
             try:
                 shard.task_queue.put(("batch", batch.id, key, payload, traced))
             except (ValueError, OSError, AttributeError):
@@ -1492,6 +1517,7 @@ class LocalizationServer:
                 current = self._shards[batch.shard]
                 current.outstanding = max(0, current.outstanding - batch.n)
                 self._track_outstanding(batch.requests, -1)
+                self._wake_if_idle(current)
                 now = time.perf_counter()
                 current.stats.record_complete(
                     batch.n, (now - batch.dispatched) * 1e3
@@ -1506,7 +1532,7 @@ class LocalizationServer:
                     )
                 collected = time.perf_counter() if batch.traced else now
                 self._free_lease(batch)
-                route = self._route_stats.setdefault(batch.key, RouteStats())
+                route = self._route_stats_for(batch.key)
                 offset = 0
                 for request in batch.requests:
                     block = logits[offset : offset + request.n]
@@ -1536,6 +1562,7 @@ class LocalizationServer:
                 current = self._shards[batch.shard]
                 current.outstanding = max(0, current.outstanding - batch.n)
                 self._track_outstanding(batch.requests, -1)
+                self._wake_if_idle(current)
                 current.stats.record_error()
                 if batch.transport == "shm" \
                         and text.startswith("ShmTransportError") \
@@ -1549,10 +1576,19 @@ class LocalizationServer:
                 self._free_lease(batch)
                 if self._on_batch_error(batch, text):
                     return  # handled (e.g. canary retry on the incumbent)
-                route = self._route_stats.setdefault(batch.key, RouteStats())
+                route = self._route_stats_for(batch.key)
                 for request in batch.requests:
                     route.record_failure()
                     self._finish_error(request, text)
+
+    def _wake_if_idle(self, shard: _Shard) -> None:
+        """End the dispatcher's coalescing wait when ``shard`` has just
+        gone idle with requests still queued (called under the
+        bookkeeping lock; the lock order _lock → _cond is the one
+        :meth:`_requeue` already takes)."""
+        if shard.outstanding == 0 and self._pending:
+            with self._cond:
+                self._cond.notify()
 
     def _redispatch_as_pickle(self, batch: _Batch, shard: _Shard) -> None:
         """Convert a shm batch whose descriptor the worker rejected into a
@@ -1570,9 +1606,7 @@ class LocalizationServer:
         self._track_outstanding(batch.requests, +1)
         shard.outstanding += batch.n
         self._transport_totals.record_spill()
-        self._route_stats.setdefault(
-            batch.key, RouteStats()
-        ).transport.record_spill()
+        self._route_stats_for(batch.key).transport.record_spill()
         try:
             shard.task_queue.put(("batch", batch.id, batch.key, batch.images,
                                   batch.traced))
@@ -1743,18 +1777,20 @@ class LocalizationServer:
                       collected: float) -> None:
         """Assemble a traced request's span chain and record it; called
         under the bookkeeping lock from the collector's done path."""
-        done_at = time.perf_counter()
         worker = timing[:3] if timing is not None else None
         phases = timing[3] if timing is not None else None
         spans = spans_from_stamps(
             request.enqueued, batch.gathered, batch.write_started,
-            batch.sent, collected, done_at, batch.transport, worker=worker,
+            batch.sent, collected, collected, batch.transport, worker=worker,
         )
         trace = RequestTrace(request.id, request.model, request.n,
                              batch.transport, batch.shard, spans,
                              compute_phases=phases)
+        # ``complete`` ends once the trace is assembled: the request waits
+        # for that too.  The dict form is built by the reader.
+        trace.spans[-1].end = time.perf_counter()
         self.tracer.record(trace)
-        request.breakdown = trace.to_dict()
+        request.breakdown = trace
 
     def traces(self, limit: int | None = None) -> list[RequestTrace]:
         """Buffered request traces, oldest → newest."""

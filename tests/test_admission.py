@@ -211,24 +211,26 @@ class TestAdmissionController:
 
 
 class TestServerAdmission:
-    def test_per_route_queue_bound(self, session, images):
+    def test_per_route_queue_bound(self, session, images, stopped_workers):
         policy = QosPolicy(priority="standard", max_queue=8)
         with LocalizationServer(session, workers=1, max_batch=8,
-                                max_delay_ms=200.0,
+                                max_delay_ms=5000.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
-            first = server.submit(images[:6])  # 6 ≤ 8: admitted, batching
-            with pytest.raises(RouteOverloaded) as info:
-                server.submit(images[:6])      # 6 + 6 > 8: rejected now
-            assert info.value.model == DEFAULT_MODEL
-            assert info.value.retry_after_s > 0
-            assert not info.value.shed
-            # The bound is on queued samples, not requests: two more
-            # samples still fit (and complete the batch).
-            second = server.submit(images[6:8])
+            with stopped_workers(server):  # the worker is busy: requests queue
+                first = server.submit(images[:6])  # 6 ≤ 8: admitted, queued
+                with pytest.raises(RouteOverloaded) as info:
+                    server.submit(images[:6])      # 6 + 6 > 8: rejected now
+                assert info.value.model == DEFAULT_MODEL
+                assert info.value.retry_after_s > 0
+                assert not info.value.shed
+                # The bound is on queued samples, not requests: two more
+                # samples still fit (and complete the batch).
+                second = server.submit(images[6:8])
             assert server.result(first, timeout=10.0).shape == (6, 5)
             assert server.result(second, timeout=10.0).shape == (2, 5)
             counters = server.stats()["admission"]["counters"][DEFAULT_MODEL]
-            assert counters["admitted"] == 2 and counters["rejected"] == 1
+            # Admitted: the two above plus the stopped worker's blocker.
+            assert counters["admitted"] == 3 and counters["rejected"] == 1
 
     @needs_shm
     def test_deadline_expires_in_queue(self, session, images):
@@ -438,9 +440,11 @@ class TestFleetQos:
 class TestGatewayQos:
     @pytest.fixture()
     def stack(self, session):
+        # Each test holds its requests queued behind a stopped worker
+        # (the long max_delay_ms keeps them there until it resumes).
         policy = QosPolicy(priority="standard", max_queue=8)
         with LocalizationServer(session, workers=1, max_batch=64,
-                                max_delay_ms=400.0,
+                                max_delay_ms=5000.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
             gateway = GatewayServer(server, max_connections=16).start()
             try:
@@ -453,54 +457,60 @@ class TestGatewayQos:
         return rng.uniform(-90.0, -30.0, size=12 * 12 * 3) \
             .astype(np.float32)
 
-    def test_overloaded_wire_code_and_retry_after(self, stack):
-        _server, gateway = stack
+    def test_overloaded_wire_code_and_retry_after(self, stack,
+                                                  stopped_workers):
+        server, gateway = stack
         with GatewayClient("127.0.0.1", gateway.port) as client:
-            ids = [client.submit(self._fingerprint(i)) for i in range(8)]
-            overflow = client.submit(self._fingerprint(99))
-            response = client.result(overflow, timeout=5.0)
-            assert not response.get("ok")
-            error = response["error"]
-            assert error["code"] == "overloaded"
-            assert error["retry_after_s"] > 0
+            with stopped_workers(server):
+                ids = [client.submit(self._fingerprint(i)) for i in range(8)]
+                overflow = client.submit(self._fingerprint(99))
+                response = client.result(overflow, timeout=5.0)
+                assert not response.get("ok")
+                error = response["error"]
+                assert error["code"] == "overloaded"
+                assert error["retry_after_s"] > 0
             for request_id in ids:  # the admitted ones all complete
                 assert client.result(request_id, timeout=10.0)["ok"]
 
-    def test_http_503_carries_retry_after_header(self, stack):
+    def test_http_503_carries_retry_after_header(self, stack,
+                                                 stopped_workers):
         import socket as socketlib
 
-        _server, gateway = stack
+        server, gateway = stack
         with GatewayClient("127.0.0.1", gateway.port) as filler:
-            ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
-            body = json.dumps(
-                {"fingerprint": self._fingerprint(5).tolist()}
-            ).encode()
-            request = (
-                f"POST /localize HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            ).encode() + body
-            with socketlib.create_connection(
-                    ("127.0.0.1", gateway.port), timeout=5.0) as sock:
-                sock.sendall(request)
-                sock.settimeout(5.0)
-                raw = b""
-                while b"\r\n\r\n" not in raw:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    raw += chunk
+            with stopped_workers(server):
+                ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
+                body = json.dumps(
+                    {"fingerprint": self._fingerprint(5).tolist()}
+                ).encode()
+                request = (
+                    f"POST /localize HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n"
+                ).encode() + body
+                with socketlib.create_connection(
+                        ("127.0.0.1", gateway.port), timeout=5.0) as sock:
+                    sock.sendall(request)
+                    sock.settimeout(5.0)
+                    raw = b""
+                    while b"\r\n\r\n" not in raw:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        raw += chunk
             head = raw.split(b"\r\n\r\n", 1)[0].decode()
             assert head.startswith("HTTP/1.1 503")
             assert "retry-after:" in head.lower()
             for request_id in ids:
                 assert filler.result(request_id, timeout=10.0)["ok"]
 
-    def test_client_retry_honors_hint_then_succeeds(self, stack):
-        _server, gateway = stack
+    def test_client_retry_honors_hint_then_succeeds(self, stack,
+                                                    stopped_workers):
+        server, gateway = stack
         with GatewayClient("127.0.0.1", gateway.port) as filler, \
                 GatewayClient("127.0.0.1", gateway.port, max_retries=4,
-                              backoff_base_s=0.01) as client:
+                              backoff_base_s=0.01) as client, \
+                stopped_workers(server) as hold:
             ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
             # Confirm the route is actually full before the retrying call
             # (the filler's frames are pipelined; a probe rejection proves
@@ -508,17 +518,25 @@ class TestGatewayQos:
             probe = filler.result(filler.submit(self._fingerprint(98)),
                                   timeout=5.0)
             assert probe["error"]["code"] == "overloaded"
+            # The worker resumes well inside the first retry's back-off
+            # (the 0.25 s hint floors it), so the queue drains and a
+            # retry gets in.
+            resume = threading.Timer(0.1, hold.release)
+            resume.start()
             response = client.localize(self._fingerprint(42), timeout=10.0)
+            resume.join()
             assert response["ok"] and client.retries >= 1
             for request_id in ids:
                 assert filler.result(request_id, timeout=10.0)["ok"]
 
-    def test_retry_budget_exhausts_into_structured_error(self, session):
-        # A one-slot route that never drains within the retry budget:
-        # the final overloaded error surfaces with its hint intact.
+    def test_retry_budget_exhausts_into_structured_error(self, session,
+                                                         stopped_workers):
+        # A one-slot route that never drains within the retry budget
+        # (its request waits behind a stopped worker): the final
+        # overloaded error surfaces with its hint intact.
         policy = QosPolicy(priority="standard", max_queue=1)
         with LocalizationServer(session, workers=1, max_batch=64,
-                                max_delay_ms=2000.0,
+                                max_delay_ms=5000.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
             gateway = GatewayServer(server, max_connections=16).start()
             try:
@@ -526,12 +544,18 @@ class TestGatewayQos:
                         GatewayClient("127.0.0.1", gateway.port,
                                       max_retries=2,
                                       backoff_base_s=0.01) as client:
-                    held = filler.submit(self._fingerprint(0))
-                    with pytest.raises(GatewayError) as info:
-                        client.localize(self._fingerprint(1), timeout=10.0)
-                    assert info.value.code == "overloaded"
-                    assert info.value.retry_after_s is not None
-                    assert client.retries == 2
+                    with stopped_workers(server):
+                        held = filler.submit(self._fingerprint(0))
+                        # A probe rejection proves ``held`` took the slot.
+                        probe = filler.result(
+                            filler.submit(self._fingerprint(98)), timeout=5.0)
+                        assert probe["error"]["code"] == "overloaded"
+                        with pytest.raises(GatewayError) as info:
+                            client.localize(self._fingerprint(1),
+                                            timeout=10.0)
+                        assert info.value.code == "overloaded"
+                        assert info.value.retry_after_s is not None
+                        assert client.retries == 2
                     assert filler.result(held, timeout=10.0)["ok"]
             finally:
                 gateway.close()

@@ -3,6 +3,7 @@ pair, the quick-record rules, the missing-section rule and every gate
 clause, against the committed records.  Nothing here re-runs a drill."""
 
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -108,6 +109,23 @@ class TestWrite:
         bench.write("fleet", quick, path)
         bench.write("fleet", quick, path)
         bench.write("fleet", _committed("fleet"), path)
+
+    def test_quick_refusal_comes_before_the_run(self, records, monkeypatch,
+                                                capsys):
+        from repro import cli, infer
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("the refused benchmark ran")
+
+        monkeypatch.setitem(bench.SECTIONS, "fleet", dataclasses.replace(
+            bench.SECTIONS["fleet"], run=never))
+        assert bench.main(["run", "fleet", "--quick"]) == 2
+        monkeypatch.setattr(infer, "run_inference_benchmark", never)
+        assert cli.main(["infer-bench", "--quick"]) == 2
+        assert capsys.readouterr().out.count("refusing to write a quick") == 1
+        for file in FILES:
+            assert (records / file).read_bytes() \
+                == open(os.path.join(ROOT, file), "rb").read()
 
     @pytest.mark.parametrize("name", list(bench.SECTIONS))
     def test_every_section_knows_when_it_is_quick(self, name):

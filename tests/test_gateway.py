@@ -262,6 +262,135 @@ class TestGatewayEndToEnd:
         assert err.value.code == "unknown_model"
 
 
+def _raw_frame_response(gateway, request: dict) -> bytes:
+    """Send one framed request; return the response body bytes as sent."""
+    with socket.create_connection((gateway.host, gateway.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(encode_frame(request))
+        raw = b""
+        while len(raw) < 4 or len(raw) < 4 + struct.unpack(">I", raw[:4])[0]:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-frame"
+            raw += chunk
+    return raw[4:]
+
+
+def _raw_http_response(gateway, method: str, path: str,
+                       body: bytes | None = None) -> tuple[int, bytes]:
+    import http.client
+
+    conn = http.client.HTTPConnection(gateway.host, gateway.port,
+                                      timeout=10.0)
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, reply.read()
+    finally:
+        conn.close()
+
+
+class TestResponseEncoding:
+    """Responses are orjson bytes; both parsers must read them back to
+    the exact served values."""
+
+    def test_logits_decode_exactly_under_both_parsers(self, stack):
+        import orjson
+
+        server, gateway = stack
+        fp = _fingerprint(500)
+        served = server.predict_many(fp.reshape(1, IMAGE, IMAGE, 3))[0]
+        expected = served.tolist()
+        framed = _raw_frame_response(
+            gateway, {"id": 3, "fingerprint": fp.tolist()})
+        status, http_body = _raw_http_response(
+            gateway, "POST", "/localize",
+            json.dumps({"fingerprint": fp.tolist()}).encode())
+        assert status == 200
+        for body in (framed, http_body):
+            for parse in (json.loads, orjson.loads):
+                response = parse(body)
+                assert response["ok"]
+                assert response["logits"] == expected
+
+    def test_encoder_roundtrips_float32_extremes(self):
+        import orjson
+
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.standard_normal(256).astype(np.float32) * 10.0,
+            np.array([1e-7, -1e-30, 1e-45, 3.4e38, -0.0, 0.0, 123456.78],
+                     dtype=np.float32),
+        ]).tolist()
+        body = protocol.encode_response({"id": 1, "logits": values})
+        assert json.loads(body)["logits"] == values
+        assert orjson.loads(body)["logits"] == values
+        frame = protocol.response_frame({"id": 1, "logits": values})
+        assert frame[4:] == body
+        assert struct.unpack(">I", frame[:4])[0] == len(body)
+
+    def test_encoder_keeps_non_str_keys(self):
+        # orjson refuses non-str keys; the fallback writes them as
+        # JSON object keys, as stdlib json always did.
+        assert json.loads(protocol.encode_response({"hist": {1: 2}})) \
+            == {"hist": {"1": 2}}
+
+    def test_id_past_64_bits_is_answered_by_the_fallback(self, stack):
+        # Only stdlib json parses a NaN body, and it keeps a wide id as
+        # an int that orjson cannot write: the answer falls back to
+        # stdlib json instead of killing the event loop.
+        _server, gateway = stack
+        wide = 2 ** 70
+        body = _raw_frame_response(
+            gateway, {"id": wide, "fingerprint": [float("nan")]})
+        response = json.loads(body)
+        assert response["id"] == wide
+        assert response["error"]["code"] == "bad_request"
+        with GatewayClient(gateway.host, gateway.port) as client:
+            assert client.localize(_fingerprint(502))["ok"]
+
+    def test_http_stats_serializes(self, stack):
+        _server, gateway = stack
+        with GatewayClient(gateway.host, gateway.port) as client:
+            client.localize(_fingerprint(501))
+        status, body = _raw_http_response(gateway, "GET", "/stats")
+        assert status == 200
+        stats = json.loads(body)["stats"]
+        assert stats["listening"]["port"] == gateway.port
+        assert stats["requests"]["responded"] >= 1
+
+    def test_nonfinite_logits_answer_server_error(self):
+        config = VitalConfig(
+            image_size=IMAGE, patch_size=3, projection_dim=24, num_heads=4,
+            encoder_blocks=1, encoder_mlp_units=(32, 16), head_units=(32,),
+        )
+        model = VitalModel(config, image_size=IMAGE, channels=3,
+                           num_classes=5, rng=np.random.default_rng(0))
+        model.eval()
+        model.head.layers[-1].bias.data[2] = np.nan
+        broken = InferenceSession(model, max_batch=8)
+        with LocalizationServer(broken, workers=1, max_batch=8,
+                                max_delay_ms=1.0) as server:
+            gateway = GatewayServer(server, cache_step_db=2.0).start()
+            try:
+                fp = (np.rint(_fingerprint(7) / 2.0) * 2.0) \
+                    .astype(np.float32)
+                with GatewayClient(gateway.host, gateway.port) as client:
+                    for _ in range(2):  # never cached, never null
+                        with pytest.raises(GatewayError) as err:
+                            client.localize(fp)
+                        assert err.value.code == "server_error"
+                        assert "non-finite" in str(err.value)
+                status, body = _raw_http_response(
+                    gateway, "POST", "/localize",
+                    json.dumps({"fingerprint": fp.tolist()}).encode())
+                assert status == 500
+                assert json.loads(body)["error"]["code"] == "server_error"
+                assert gateway.cache.stats()["entries"] == 0
+            finally:
+                gateway.close()
+
+
 class TestWireHardening:
     """Malformed input must produce structured errors, never kill the
     connection (except a pathological write-buffer blowout)."""
@@ -371,22 +500,31 @@ class TestWireHardening:
             with pytest.raises(GatewayError) as err:
                 client.localize(bad)
             assert err.value.code == "bad_request"
+            # A fingerprint is a flat list of numbers: nested lists and
+            # non-numeric entries are refused, whatever their total size.
+            for values in (_fingerprint(6).reshape(IMAGE, -1).tolist(),
+                           [None] * FP_SIZE, ["x"] * FP_SIZE):
+                client.send_raw(encode_frame({"id": 77,
+                                              "fingerprint": values}))
+                response = client.next_response(timeout=10.0)
+                assert response["error"]["code"] == "bad_request"
 
-    def test_duplicate_inflight_id_rejected(self, session):
-        # A slow server (long batching deadline) keeps id 1 in flight
-        # long enough to provably collide with its reuse.
+    def test_duplicate_inflight_id_rejected(self, session, stopped_workers):
+        # A stopped worker keeps id 1 queued, so its reuse provably
+        # collides with it.
         with LocalizationServer(session, workers=1, max_batch=8,
-                                max_delay_ms=500.0) as server:
+                                max_delay_ms=5000.0) as server:
             gateway = GatewayServer(server, cache_entries=0).start()
             try:
                 with GatewayClient(gateway.host, gateway.port) as client:
-                    client.submit(_fingerprint(6), request_id=1)
-                    client.send_raw(encode_frame(
-                        {"id": 1,
-                         "fingerprint": _fingerprint(7).tolist()}))
-                    dup = client.next_response(timeout=10.0)
-                    assert dup["error"]["code"] == "bad_request"
-                    assert "already in flight" in dup["error"]["message"]
+                    with stopped_workers(server):
+                        client.submit(_fingerprint(6), request_id=1)
+                        client.send_raw(encode_frame(
+                            {"id": 1,
+                             "fingerprint": _fingerprint(7).tolist()}))
+                        dup = client.next_response(timeout=10.0)
+                        assert dup["error"]["code"] == "bad_request"
+                        assert "already in flight" in dup["error"]["message"]
                     assert client.result(1, timeout=30.0)["ok"]
             finally:
                 gateway.close()
@@ -435,7 +573,8 @@ class TestWireHardening:
 
 
 class TestTimeoutAndCancelHygiene:
-    def test_gateway_timeout_leaves_no_orphaned_state(self, session):
+    def test_gateway_timeout_leaves_no_orphaned_state(self, session,
+                                                      stopped_workers):
         """Satellite regression: a request that times out at the gateway
         is cancelled server-side; its (never-arriving) completion leaks
         nothing, and the connection keeps serving."""
@@ -445,19 +584,20 @@ class TestTimeoutAndCancelHygiene:
                                     cache_entries=0).start()
             try:
                 with GatewayClient(gateway.host, gateway.port) as client:
-                    rid = client.submit(_fingerprint(10))
-                    response = client.result(rid, timeout=10.0)
-                    assert response["error"]["code"] == "timeout"
-                    assert gateway.timeouts == 1
-                    # No orphaned pending state on either side.
-                    assert gateway._pending == {}
+                    with stopped_workers(server):  # the request stays queued
+                        rid = client.submit(_fingerprint(10))
+                        response = client.result(rid, timeout=10.0)
+                        assert response["error"]["code"] == "timeout"
+                        assert gateway.timeouts == 1
+                        # No orphaned pending state on either side (the
+                        # worker's blocker is collected on release).
+                        assert gateway._pending == {}
                     deadline = time.monotonic() + 5.0
                     while time.monotonic() < deadline and server._requests:
                         time.sleep(0.02)
                     assert server._requests == {}
                     # The in-flight window slot was released: the same
-                    # connection serves again (fast path: kick the
-                    # batcher awake by filling a batch).
+                    # connection serves again.
                     ids = [client.submit(_fingerprint(11 + i))
                            for i in range(8)]
                     for rid in ids:
@@ -623,17 +763,20 @@ class TestStatsAndMetrics:
 
 
 class TestGracefulDrain:
-    def test_drain_answers_inflight_and_rejects_new(self, session):
+    def test_drain_answers_inflight_and_rejects_new(self, session,
+                                                    stopped_workers):
         with LocalizationServer(session, workers=1, max_batch=8,
                                 max_delay_ms=200.0) as server:
             gateway = GatewayServer(server, cache_entries=0).start()
             client = GatewayClient(gateway.host, gateway.port)
             try:
-                rid = client.submit(_fingerprint(50))
                 closer = threading.Thread(
                     target=lambda: gateway.close(timeout=15.0), daemon=True)
-                time.sleep(0.1)  # let the gateway submit it server-side
-                closer.start()
+                with stopped_workers(server):  # keep the request in flight
+                    rid = client.submit(_fingerprint(50))
+                    time.sleep(0.1)  # let the gateway submit it server-side
+                    closer.start()
+                    time.sleep(0.1)  # the drain starts while it is unanswered
                 response = client.result(rid, timeout=30.0)
                 assert response["ok"], response  # in-flight → answered
                 closer.join(timeout=30.0)

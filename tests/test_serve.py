@@ -2,6 +2,8 @@
 crash recovery.  The end-to-end tests use a deliberately tiny model so the
 whole file runs in a few seconds on one core."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,8 @@ class TestAdaptiveBatchPolicy:
         assert policy.wait_budget(1, 0.011) == 0.0
 
     def test_slow_arrivals_shrink_the_wait(self):
-        """If traffic cannot plausibly fill the batch, stop waiting early."""
+        """The wait is cut to the expected fill time when arrivals fill
+        the batch before the deadline; slower traffic waits it out."""
         policy = AdaptiveBatchPolicy(max_batch=100, max_delay_ms=50.0)
         t = 0.0
         for _ in range(10):  # one request per second — glacial
@@ -162,6 +165,36 @@ class TestServerEndToEnd:
         # 8 single-image requests under a generous deadline must coalesce
         # into far fewer than 8 dispatches.
         assert sum(hist.values()) < 8
+
+    def test_idle_shard_answers_a_lone_request_at_once(self, session,
+                                                       images):
+        # Work-conserving dispatch: an idle worker takes a lone request
+        # right away instead of waiting out the 5 s coalescing cap.
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=5000.0) as server:
+            for i in range(3):
+                started = time.perf_counter()
+                server.result(server.submit(images[i]), timeout=10.0)
+                assert time.perf_counter() - started < 1.0
+            stats = server.stats()
+        assert stats["shards"][0]["batch_size_hist"] == {"1": 3}
+
+    def test_requests_behind_a_busy_worker_coalesce(self, session, images,
+                                                    stopped_workers):
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=5000.0) as server:
+            with stopped_workers(server):
+                ids = [server.submit(images[i]) for i in range(3)]
+                time.sleep(0.05)
+                assert server.stats()["shards"][0]["batches"] == 1
+                released = time.perf_counter()
+            # The worker going idle ends the wait (not the 5 s cap), and
+            # the three queued requests leave as one batch.
+            for request_id in ids:
+                server.result(request_id, timeout=10.0)
+            assert time.perf_counter() - released < 2.5
+            stats = server.stats()
+        assert stats["shards"][0]["batch_size_hist"] == {"1": 1, "3": 1}
 
     def test_empty_workload_and_cancel(self, session, images):
         with LocalizationServer(session, workers=1, max_delay_ms=0.5) as server:
