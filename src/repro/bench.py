@@ -87,6 +87,10 @@ SCHEMAS = {SERVING: "repro.serve.bench.v7", INFERENCE: "repro.infer.bench.v3"}
 #: Fused single-sample p50 must beat the autograd tape by this factor.
 FUSED_SPEEDUP_FLOOR = 3.0
 
+#: A smoke-trained VITAL must localize within this fraction of the
+#: random-guess error, or its quantization deltas say nothing.
+TRAINED_VS_CHANCE = 0.5
+
 
 @dataclass(frozen=True)
 class Section:
@@ -386,6 +390,20 @@ def _smoke_overload(seed: int) -> list[str]:
     return [gate for gate, passed in result["gates"].items() if not passed]
 
 
+def _smoke_quantization(seed: int) -> list[str]:
+    """The section's gates on a quick run, plus: VITAL trained far enough
+    to beat a random guess by ``TRAINED_VS_CHANCE``."""
+    value = SECTIONS["quantization"].run(True, seed)
+    print(format_quantization_summary(value))
+    vital = value["accuracy"]["frameworks"]["VITAL"]["float32_mean_error_m"]
+    chance = value["accuracy"]["chance_mean_error_m"]
+    print(f"  VITAL float32 {vital:.2f} m vs random guess {chance:.2f} m")
+    return quantization_gates(value) + (
+        [f"smoke-trained VITAL reads {vital:.2f} m, above "
+         f"{TRAINED_VS_CHANCE} x the {chance:.2f} m random-guess error"]
+        if vital > TRAINED_VS_CHANCE * chance else [])
+
+
 def _smoke_inference(seed: int) -> list[str]:
     """A quick run: the fused engine must still match the tape forward."""
     result = run_inference_benchmark(quick=True, seed=seed)
@@ -452,7 +470,7 @@ SECTIONS: dict[str, Section] = {section.name: section for section in (
     Section("quantization", INFERENCE,
             run=lambda quick, seed: run_quantization_benchmark(smoke=quick,
                                                                seed=seed),
-            smoke=_smoke_by_gates("quantization"), gates=quantization_gates,
+            smoke=_smoke_quantization, gates=quantization_gates,
             summary=format_quantization_summary),
 )}
 

@@ -120,11 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="serve a saved engine snapshot .pkl (float32 or "
                             "quantized) instead of compiling a fresh demo "
                             "session in-process")
-    serve.add_argument("--transport", default="shm",
-                       choices=("shm", "pickle"),
-                       help="batch payload transport: zero-copy shared-memory "
-                            "rings (default; auto-falls-back to pickle where "
-                            "shared_memory is unavailable) or pickled ndarrays")
     serve.add_argument("--qos", action="append", default=None,
                        metavar="MODEL=PRIORITY[:MAX_QUEUE[:DEADLINE_MS]]",
                        help="per-route QoS admission policy (repeatable): "
@@ -608,8 +603,8 @@ def _cmd_serve(args) -> int:
 
     import numpy as np
 
-    from repro.serve import LocalizationServer
-    from repro.serve.bench import closed_loop_load, make_session
+    from repro.serve import LocalizationServer, loadgen
+    from repro.serve.bench import make_session
 
     if args.snapshot:
         # Serve a saved snapshot — no retraining or compiling in-process.
@@ -649,30 +644,29 @@ def _cmd_serve(args) -> int:
         (4 * args.max_batch, image_size, image_size, channels)
     ).astype(np.float32)
     print(f"starting {args.workers} worker(s), max_batch={args.max_batch}, "
-          f"deadline={args.deadline_ms}ms, transport={args.transport} ...")
+          f"deadline={args.deadline_ms}ms ...")
     with LocalizationServer(session, workers=args.workers,
                             max_batch=args.max_batch,
                             max_delay_ms=args.deadline_ms,
-                            transport=args.transport,
                             trace_sample=args.trace_sample,
                             qos=qos, max_queue=args.max_queue) as server:
-        run = closed_loop_load(
-            server, pool, clients=args.clients,
-            requests_per_client=requests,
-            request_size=request_size, seed=args.seed,
-        )
+        run = loadgen.run(loadgen.ServerTarget(server),
+                          loadgen.windows(pool, request_size, args.seed),
+                          clients=args.clients, requests=requests)
+        stats = server.stats()
         metrics = server.metrics_snapshot()
+    status = 1 if run.failures else 0
     if args.json:
         # Machine-readable: the unified obs metrics snapshot (same schema
         # as `repro obs stats` and the Prometheus exporter's source).
         print(json.dumps(metrics, indent=2))
-        return 1 if run["errors"] else 0
-    print(f"served {run['total_samples']} samples in {run['elapsed_s']:.2f}s "
-          f"→ {run['samples_per_s']:.0f} samples/s "
+        return status
+    print(f"served {run.tally()['samples']} samples in {run.elapsed_s:.2f}s "
+          f"→ {run.samples_per_s:.0f} samples/s "
           f"({args.clients} closed-loop clients)")
     print("server stats:")
-    print(json.dumps(run["stats"], indent=2))
-    return 1 if run["errors"] else 0
+    print(json.dumps(stats, indent=2))
+    return status
 
 
 def _cmd_quantize(args) -> int:
@@ -797,12 +791,11 @@ def _fleet_list(args) -> int:
 def _fleet_serve(args) -> int:
     import json
     import os
-    import threading
 
     import numpy as np
 
     from repro.fleet import FleetServer, ModelRegistry
-    from repro.serve.bench import closed_loop_load
+    from repro.serve import loadgen
 
     registry = ModelRegistry(args.registry)
     specs = []
@@ -821,60 +814,54 @@ def _fleet_serve(args) -> int:
                      max_delay_ms=args.deadline_ms,
                      qos_path=os.path.join(args.registry, "qos.json")
                      ) as server:
-        pools = {}
+        choosers = []
         for index, (model_id, version) in enumerate(specs):
             info = server.deploy(model_id, version)
             # Per-model offset keeps pools distinct yet deterministic
             # under --seed (never the salted built-in hash()).
             rng = np.random.default_rng(args.seed + index)
-            pools[model_id] = rng.standard_normal(
+            pool = rng.standard_normal(
                 (4 * args.max_batch, info["image_size"], info["image_size"],
                  info["channels"])
             ).astype(np.float32)
+            choosers.append((model_id, loadgen.windows(
+                pool, max(1, args.max_batch // 4), args.seed)))
             print(f"deployed {model_id}@v{info['version']} "
                   f"({info['format']}, classes={info['num_classes']})")
 
-        runs: dict[str, dict] = {}
+        def pick(client: int, step: int) -> loadgen.Request:
+            # --clients closed-loop clients per model, all at once.
+            model_id, choose = choosers[client // args.clients]
+            return loadgen.Request(choose(client, step), model=model_id)
 
-        def hammer(model_id: str) -> None:
-            runs[model_id] = closed_loop_load(
-                server, pools[model_id], clients=args.clients,
-                requests_per_client=args.requests,
-                request_size=max(1, args.max_batch // 4),
-                seed=args.seed, model=model_id,
-            )
-
-        threads = [threading.Thread(target=hammer, args=(model_id,),
-                                    daemon=True)
-                   for model_id, _ in specs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        run = loadgen.run(loadgen.ServerTarget(server), pick,
+                          clients=args.clients * len(specs),
+                          requests=args.requests)
         stats = server.stats()
         metrics = server.metrics_snapshot()
 
-    errors = sum(len(run["errors"]) for run in runs.values())
+    status = 1 if run.failures else 0
     if args.json:
         print(json.dumps(metrics, indent=2))
-        return 1 if errors else 0
-    for model_id, run in sorted(runs.items()):
-        print(f"  {model_id}: {run['total_samples']} samples at "
-              f"{run['samples_per_s']:.0f} samples/s, "
-              f"errors={len(run['errors'])}")
+        return status
+    for model_id, _ in sorted(choosers):
+        tally = run.tally(model_id)
+        print(f"  {model_id}: {tally['samples']} samples at "
+              f"{tally['samples'] / max(run.elapsed_s, 1e-9):.0f} samples/s, "
+              f"errors={tally['sent'] - tally['completed']}")
     print("fleet stats:")
     print(json.dumps(stats["fleet"], indent=2, default=str))
-    return 1 if errors else 0
+    return status
 
 
 def _fleet_swap(args) -> int:
     import json
-    import threading
+    import time
 
     import numpy as np
 
     from repro.fleet import FleetServer, ModelRegistry
-    from repro.serve.bench import closed_loop_load
+    from repro.serve import loadgen
 
     registry = ModelRegistry(args.registry)
     with FleetServer(registry, workers=args.workers,
@@ -887,20 +874,11 @@ def _fleet_swap(args) -> int:
             (4 * args.max_batch, info["image_size"], info["image_size"],
              info["channels"])
         ).astype(np.float32)
-        out: list[dict] = []
-        stream = threading.Thread(
-            target=lambda: out.append(closed_loop_load(
-                server, pool, clients=args.clients,
-                requests_per_client=args.requests,
-                request_size=max(1, args.max_batch // 4),
-                seed=args.seed, model=args.model_id,
-            )),
-            daemon=True,
-        )
-        stream.start()
-        import time as _time
-
-        _time.sleep(0.05)
+        stream = loadgen.Load(
+            loadgen.ServerTarget(server, model=args.model_id),
+            loadgen.windows(pool, max(1, args.max_batch // 4), args.seed),
+            clients=args.clients, requests=args.requests).start()
+        time.sleep(0.05)
         if args.canary:
             # Ask for at most half the canary-routed share of the stream so
             # the decision can land before traffic runs out; if the stream
@@ -910,7 +888,7 @@ def _fleet_swap(args) -> int:
             server.start_canary(args.model_id, args.to_version,
                                 fraction=args.canary_fraction,
                                 min_requests=max(4, int(expected_canary / 2)))
-            stream.join()
+            run = stream.join()
             status = server.canary_status(args.model_id)
             if status is not None and status["active"]:
                 decision = "rollback" if status["batch_errors"] else "promote"
@@ -925,14 +903,13 @@ def _fleet_swap(args) -> int:
                   f"({outcome['reason']})")
         else:
             report = server.swap(args.model_id, args.to_version)
-            stream.join()
+            run = stream.join()
             print(f"swap report: {json.dumps(report, indent=2)}")
-        run = out[0]
-        print(f"streamed {run['total_samples']} samples, "
-              f"lost={len(run['errors'])}")
+        print(f"streamed {run.tally()['samples']} samples, "
+              f"lost={run.failures}")
         deployments = server.deployments()
     print(f"now serving: {deployments}")
-    return 1 if run["errors"] else 0
+    return 1 if run.failures else 0
 
 
 def _fleet_gc(args) -> int:
@@ -1067,12 +1044,12 @@ def _obs_trace(args) -> int:
 def _obs_stats(args) -> int:
     import json
 
+    from repro.serve import loadgen
+
     server, pool = _obs_server(args, trace_sample=1.0)
     with server:
-        for index in range(args.requests):
-            offset = (index * 4) % len(pool)
-            server.result(server.submit(pool[offset:offset + 4]),
-                          timeout=60.0)
+        loadgen.run(loadgen.ServerTarget(server),
+                    loadgen.windows(pool, 4, args.seed), requests=args.requests)
         if args.prometheus:
             output = server.to_prometheus()
         else:
@@ -1082,22 +1059,13 @@ def _obs_stats(args) -> int:
 
 
 def _background_load(server, pool, args):
-    """Start a closed-loop hammer thread; returns (stop_event, thread)."""
-    import threading
+    """Closed-loop clients hammering ``server`` until the returned
+    :class:`~repro.serve.loadgen.Load` is stopped."""
+    from repro.serve import loadgen
 
-    from repro.serve.bench import closed_loop_load
-
-    stop = threading.Event()
-
-    def hammer() -> None:
-        while not stop.is_set():
-            closed_loop_load(server, pool, clients=args.clients,
-                             requests_per_client=8, request_size=4,
-                             seed=args.seed)
-
-    thread = threading.Thread(target=hammer, daemon=True)
-    thread.start()
-    return stop, thread
+    return loadgen.Load(loadgen.ServerTarget(server),
+                        loadgen.windows(pool, 4, args.seed),
+                        clients=args.clients).start()
 
 
 def _obs_top(args) -> int:
@@ -1105,7 +1073,7 @@ def _obs_top(args) -> int:
 
     server, pool = _obs_server(args, trace_sample=0.1)
     with server:
-        stop, load = _background_load(server, pool, args)
+        load = _background_load(server, pool, args)
         print(f"{'time':>6} {'queue':>6} {'inflight':>8} {'p50_ms':>8} "
               f"{'p95_ms':>8} {'req/s':>8} {'traced/s':>8} {'completed':>10}")
         started = time.perf_counter()
@@ -1133,8 +1101,7 @@ def _obs_top(args) -> int:
                   f"{traced_rate:>8.1f} "
                   f"{stats['requests']['completed']:>10}")
             prev, prev_t = stats, now
-        stop.set()
-        load.join(timeout=30.0)
+        load.stop()
     print("done")
     return 0
 
@@ -1187,46 +1154,24 @@ def _format_gateway_row(gw: dict | None) -> str | None:
     return row
 
 
-def _gateway_load(gateway, pool, stop):
-    """One network client looping cache-friendly requests through the
-    gateway (repeats from a small fingerprint set → visible hits)."""
-    import threading
-
-    def hammer() -> None:
-        from repro.serve import GatewayClient
-
-        try:
-            client = GatewayClient(gateway.host, gateway.port, timeout=10.0)
-        except OSError:
-            return
-        index = 0
-        with client:
-            while not stop.is_set():
-                try:
-                    client.localize(pool[index % 8])
-                except Exception:
-                    return
-                index += 1
-
-    thread = threading.Thread(target=hammer, daemon=True)
-    thread.start()
-    return thread
-
-
 def _obs_watch(args) -> int:
     import time
 
     server, pool = _monitored_server(args, journal_path=args.journal)
     spiked = False
     with server:
-        gateway = net_thread = None
+        gateway = net_load = None
+        load = _background_load(server, pool, args)
         if args.gateway:
-            from repro.serve import GatewayServer
+            from repro.serve import GatewayServer, loadgen
 
             gateway = GatewayServer(server, max_connections=32).start()
-        stop, load = _background_load(server, pool, args)
-        if gateway is not None:
-            net_thread = _gateway_load(gateway, pool, stop)
+            # One network client looping over 8 images: repeats make the
+            # cache hits visible on the gateway row.
+            net_load = loadgen.Load(
+                loadgen.GatewayTarget(gateway.host, gateway.port,
+                                      timeout=10.0),
+                lambda _client, step: pool[step % 8]).start()
         started = time.perf_counter()
         while time.perf_counter() - started < args.duration:
             time.sleep(args.interval)
@@ -1289,12 +1234,11 @@ def _obs_watch(args) -> int:
                     f"{model}@{state['fraction']:.2f}"
                     for model, state in sorted(shedding.items()))
             print(line)
-        stop.set()
-        if net_thread is not None:
-            net_thread.join(timeout=15.0)
+        if net_load is not None:
+            net_load.stop()
         if gateway is not None:
             gateway.close()
-        load.join(timeout=30.0)
+        load.stop()
     if args.journal:
         print(f"journal written to {args.journal}")
     return 0
@@ -1306,10 +1250,9 @@ def _obs_slo(args) -> int:
 
     server, pool = _monitored_server(args)
     with server:
-        stop, load = _background_load(server, pool, args)
+        load = _background_load(server, pool, args)
         time.sleep(args.duration)
-        stop.set()
-        load.join(timeout=30.0)
+        load.stop()
         reports = server.monitor.slo_engine.last_reports()
         if args.json:
             print(json.dumps(reports, indent=2))
@@ -1330,7 +1273,7 @@ def _obs_alerts(args) -> int:
 
     server, pool = _monitored_server(args)
     with server:
-        stop, load = _background_load(server, pool, args)
+        load = _background_load(server, pool, args)
         time.sleep(args.duration / 2)
         if not args.no_spike:
             with server._lock:
@@ -1338,8 +1281,7 @@ def _obs_alerts(args) -> int:
                     server._request_latency.add(500.0)
             print(f"[{args.duration / 2:.1f}s] injected 500 ms latency spike")
         time.sleep(args.duration / 2)
-        stop.set()
-        load.join(timeout=30.0)
+        load.stop()
         status = server.monitor.alerts.status()
         print(f"{'rule':<18} {'type':<14} {'state':>8}  value")
         for rule in status["rules"]:

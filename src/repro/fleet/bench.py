@@ -21,17 +21,16 @@ Run via ``python -m repro.bench run fleet [--quick]``.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
-import threading
 import time
 
 import numpy as np
 
 from repro.fleet.registry import ModelRegistry
 from repro.fleet.server import FleetServer
-from repro.serve.bench import closed_loop_load, make_session
+from repro.serve import loadgen
+from repro.serve.bench import make_session
 
 def corrupt_snapshot(snapshot: dict) -> dict:
     """A structurally valid snapshot that restores but fails at predict.
@@ -44,16 +43,6 @@ def corrupt_snapshot(snapshot: dict) -> dict:
     state = dict(snapshot["state"])
     state["w_embed"] = np.ascontiguousarray(state["w_embed"][:, :-1])
     return {**snapshot, "state": state}
-
-
-def _stream(server: FleetServer, model: str, images: np.ndarray,
-            clients: int, requests_per_client: int, request_size: int,
-            seed: int = 0) -> dict:
-    return closed_loop_load(
-        server, images, clients=clients,
-        requests_per_client=requests_per_client,
-        request_size=request_size, seed=seed, model=model,
-    )
 
 
 def run_fleet_benchmark(
@@ -101,34 +90,32 @@ def run_fleet_benchmark(
                          max_delay_ms=1.0) as server:
             server.deploy(model_id, v1)
 
+            def stream(seed: int) -> loadgen.Load:
+                """Closed-loop traffic at the deployment, not started."""
+                return loadgen.Load(
+                    loadgen.ServerTarget(server, model=model_id),
+                    loadgen.windows(pool, request_size, seed),
+                    clients=clients, requests=requests_per_client)
+
             # --- experiment 1: hot swap under live traffic ------------
             log(f"  hot-swap drill: v{v1} → v{v2} under "
                 f"{clients}x{requests_per_client} requests...")
-            stream_out: list[dict] = []
-            stream = threading.Thread(
-                target=lambda: stream_out.append(_stream(
-                    server, model_id, pool, clients, requests_per_client,
-                    request_size, seed,
-                )),
-                daemon=True,
-            )
-            stream.start()
+            traffic = stream(seed).start()
             # Let traffic build up, but flip well before the stream ends
             # so the swap really happens under load.
             time.sleep(0.02 if quick else 0.1)
             swap = server.swap(model_id, v2)
-            stream.join(timeout=300.0)
-            run = stream_out[0]
+            run = traffic.join()
             hot_swap = {
                 "requests": clients * requests_per_client,
-                "completed": clients * requests_per_client - len(run["errors"]),
-                "lost": len(run["errors"]),
+                "completed": run.tally()["completed"],
+                "lost": run.failures,
                 "swap_latency_ms": swap["swap_latency_ms"],
                 "in_flight_samples_at_flip": swap["in_flight_samples_at_flip"],
                 "queued_samples_at_flip": swap["queued_samples_at_flip"],
                 "drain_ms": swap["drain_ms"],
-                "samples_per_s": run["samples_per_s"],
-                "ok": not run["errors"],
+                "samples_per_s": run.samples_per_s,
+                "ok": run.failures == 0,
             }
             log(f"    swap {swap['swap_latency_ms']:.1f} ms with "
                 f"{swap['in_flight_samples_at_flip']} samples in flight; "
@@ -138,17 +125,16 @@ def run_fleet_benchmark(
             log(f"  canary-rollback drill: broken v{v3} at 50%...")
             server.start_canary(model_id, v3, fraction=0.5,
                                 min_requests=16, max_failures=3)
-            run = _stream(server, model_id, pool, clients,
-                          requests_per_client, request_size, seed + 3)
+            run = stream(seed + 3).start().join()
             outcome = server.wait_canary(model_id, timeout=120.0)
             canary_rollback = {
                 "requests": clients * requests_per_client,
-                "client_failures": len(run["errors"]),
+                "client_failures": run.failures,
                 "retried": (outcome.get("canary_stats") or {}).get("retried", 0),
                 "decision": outcome["decision"],
                 "reason": outcome["reason"],
                 "ok": (outcome["decision"] == "rollback"
-                       and not run["errors"]),
+                       and run.failures == 0),
             }
             log(f"    decision={outcome['decision']} "
                 f"({canary_rollback['retried']} retried on the incumbent), "
@@ -156,33 +142,31 @@ def run_fleet_benchmark(
 
             # --- experiment 3+4: healthy canary promotes; overhead ----
             log("  canary-overhead: plain stream vs 25% canary split...")
-            plain = _stream(server, model_id, pool, clients,
-                            requests_per_client, request_size, seed + 4)
+            plain = stream(seed + 4).start().join()
             server.start_canary(model_id, v1, fraction=0.25,
                                 min_requests=10 ** 9)  # hold open to measure
-            canaried = _stream(server, model_id, pool, clients,
-                               requests_per_client, request_size, seed + 5)
+            canaried = stream(seed + 5).start().join()
             promote_outcome = server.decide_canary(
                 model_id, "promote", reason="benchmark: measured window over"
             )
             overhead_pct = (
-                (plain["samples_per_s"] - canaried["samples_per_s"])
-                / plain["samples_per_s"] * 100.0
-                if plain["samples_per_s"] > 0 else None
+                (plain.samples_per_s - canaried.samples_per_s)
+                / plain.samples_per_s * 100.0
+                if plain.samples_per_s > 0 else None
             )
             canary_promote = {
                 "decision": promote_outcome["decision"],
-                "client_failures": len(canaried["errors"]),
+                "client_failures": canaried.failures,
                 "ok": (promote_outcome["decision"] == "promote"
-                       and not canaried["errors"]),
+                       and canaried.failures == 0),
             }
             canary_overhead = {
-                "plain_samples_per_s": plain["samples_per_s"],
-                "canary_samples_per_s": canaried["samples_per_s"],
+                "plain_samples_per_s": plain.samples_per_s,
+                "canary_samples_per_s": canaried.samples_per_s,
                 "overhead_pct": overhead_pct,
             }
-            log(f"    plain {plain['samples_per_s']:.0f} vs canaried "
-                f"{canaried['samples_per_s']:.0f} samples/s "
+            log(f"    plain {plain.samples_per_s:.0f} vs canaried "
+                f"{canaried.samples_per_s:.0f} samples/s "
                 f"({overhead_pct:+.1f}% overhead)")
             fleet_stats = server.stats()["fleet"]
 

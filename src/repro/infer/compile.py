@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import special as _special
 
 from repro import nn
 from repro.infer.ops import contiguous_f32, fold_norm_into_dense, softmax_
@@ -78,11 +77,15 @@ def _activation_op(layer: nn.Module) -> _Op | None:
     if isinstance(layer, nn.ReLU):
         return lambda x: np.maximum(x, 0.0)
     if isinstance(layer, nn.GELU):
-        return lambda x: x * (0.5 * (1.0 + _special.erf(x * np.float32(2**-0.5))))
+        from scipy.special import erf  # lazy: only models that use it pay
+
+        return lambda x: x * (0.5 * (1.0 + erf(x * np.float32(2**-0.5))))
     if isinstance(layer, nn.Tanh):
         return np.tanh
     if isinstance(layer, nn.Sigmoid):
-        return _special.expit
+        from scipy.special import expit
+
+        return expit
     if isinstance(layer, nn.LeakyReLU):
         alpha = np.float32(layer.alpha)
         return lambda x: np.where(x > 0, x, x * alpha)

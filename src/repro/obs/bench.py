@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.obs import (AlertEngine, DriftRule, EventJournal, MetricsRegistry,
                        Timeline)
+from repro.serve import loadgen
 from repro.serve.bench import make_session
 from repro.serve.server import LocalizationServer
 
@@ -123,39 +124,37 @@ def run_span_check(quick: bool = False, seed: int = 0,
     return result
 
 
-def _run_trace_arm(trace_sample: float, requests: int,
-                   request_size: int, workers: int, seed: int) -> float:
-    """One closed-loop arm; returns its p50 request latency (ms)."""
+def _arm_p50(requests: int, request_size: int, workers: int, seed: int,
+             **server_options) -> float:
+    """One closed-loop overhead arm (``server_options`` set what the arm
+    switches on); returns its p50 request latency (ms)."""
     session = make_session(seed=seed)
     images = _images(session, request_size * 4, seed=seed)
-    latencies = []
+
+    def block(_client: int, step: int) -> np.ndarray:
+        return images[(step % 4) * request_size:][:request_size]
+
     with LocalizationServer(session, workers=workers, max_delay_ms=1.0,
-                            trace_sample=trace_sample) as server:
+                            **server_options) as server:
+        target = loadgen.ServerTarget(server)
         # warmup: populate worker caches / branch predictors off the clock
-        for index in range(4):
-            server.result(server.submit(images[:request_size]), timeout=60.0)
-        for index in range(requests):
-            block = images[(index % 4) * request_size:][:request_size]
-            start = time.perf_counter()
-            server.result(server.submit(block), timeout=60.0)
-            latencies.append((time.perf_counter() - start) * 1e3)
-    return float(np.percentile(np.asarray(latencies), 50))
+        loadgen.run(target, block, requests=4)
+        run = loadgen.run(target, block, requests=requests)
+    return run.latency_ms()["p50_ms"]
 
 
-def run_trace_overhead(quick: bool = False, seed: int = 0,
-                       workers: int = 2) -> dict:
-    """Interleaved A/B/A: disabled, 100% sampling, disabled."""
+def _overhead(arms: dict[str, dict], quick: bool, seed: int,
+              workers: int) -> dict:
+    """Interleaved A/B/A: ``arms`` maps ``disabled_a``/``enabled``/
+    ``disabled_b`` to the server options each arm runs with."""
     rounds = 2 if quick else 5
     requests = 20 if quick else 60
     request_size = 2
-    arms = {"disabled_a": 0.0, "enabled": 1.0, "disabled_b": 0.0}
     p50s = {name: [] for name in arms}
     for round_index in range(rounds):
-        for name, rate in arms.items():
-            p50s[name].append(
-                _run_trace_arm(rate, requests, request_size, workers,
-                               seed + round_index)
-            )
+        for name, options in arms.items():
+            p50s[name].append(_arm_p50(requests, request_size, workers,
+                                       seed + round_index, **options))
     median = {name: statistics.median(values)
               for name, values in p50s.items()}
     disabled_p50 = statistics.median([median["disabled_a"],
@@ -163,12 +162,12 @@ def run_trace_overhead(quick: bool = False, seed: int = 0,
     enabled_ratio = median["enabled"] / disabled_p50
     aa_ratio = max(median["disabled_a"], median["disabled_b"]) \
         / min(median["disabled_a"], median["disabled_b"])
-    # Noise floor: the spread two identical (tracing-off) configurations
+    # Noise floor: the spread two identical (switched-off) configurations
     # show on this host.  The disabled path differs from pre-obs code by
     # one boolean check per request/batch; "no statistically detectable
     # regression" = the A/A arms are within that measured floor (25%
     # headroom for scheduler jitter on a 1-core container).
-    result = {
+    return {
         "rounds": rounds,
         "requests_per_round": requests,
         "request_size": request_size,
@@ -180,7 +179,14 @@ def run_trace_overhead(quick: bool = False, seed: int = 0,
         "enabled_ok": bool(enabled_ratio <= 1.05),
         "disabled_ok": bool(aa_ratio <= 1.25),
     }
-    return result
+
+
+def run_trace_overhead(quick: bool = False, seed: int = 0,
+                       workers: int = 2) -> dict:
+    """Interleaved A/B/A: disabled, 100% sampling, disabled."""
+    off = {"trace_sample": 0.0}
+    return _overhead({"disabled_a": off, "enabled": {"trace_sample": 1.0},
+                      "disabled_b": off}, quick, seed, workers)
 
 
 def trace_smoke(seed: int = 0) -> list[str]:
@@ -206,59 +212,14 @@ def trace_smoke(seed: int = 0) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _run_monitor_arm(monitor: bool, requests: int, request_size: int,
-                     workers: int, seed: int) -> float:
-    """One closed-loop arm; returns its p50 request latency (ms)."""
-    session = make_session(seed=seed)
-    images = _images(session, request_size * 4, seed=seed)
-    latencies = []
-    with LocalizationServer(session, workers=workers, max_delay_ms=1.0,
-                            monitor=monitor,
-                            monitor_interval_s=DEFAULT_CADENCE_S) as server:
-        for index in range(4):  # warmup off the clock
-            server.result(server.submit(images[:request_size]), timeout=60.0)
-        for index in range(requests):
-            block = images[(index % 4) * request_size:][:request_size]
-            start = time.perf_counter()
-            server.result(server.submit(block), timeout=60.0)
-            latencies.append((time.perf_counter() - start) * 1e3)
-    return float(np.percentile(np.asarray(latencies), 50))
-
-
 def run_monitor_overhead(quick: bool = False, seed: int = 0,
                          workers: int = 2) -> dict:
     """Interleaved A/B/A: monitor off, monitor at default cadence, off."""
-    rounds = 2 if quick else 5
-    requests = 20 if quick else 60
-    request_size = 2
-    arms = {"disabled_a": False, "enabled": True, "disabled_b": False}
-    p50s = {name: [] for name in arms}
-    for round_index in range(rounds):
-        for name, monitored in arms.items():
-            p50s[name].append(
-                _run_monitor_arm(monitored, requests, request_size,
-                                 workers, seed + round_index)
-            )
-    median = {name: statistics.median(values)
-              for name, values in p50s.items()}
-    disabled_p50 = statistics.median([median["disabled_a"],
-                                      median["disabled_b"]])
-    enabled_ratio = median["enabled"] / disabled_p50
-    aa_ratio = max(median["disabled_a"], median["disabled_b"]) \
-        / min(median["disabled_a"], median["disabled_b"])
-    return {
-        "cadence_s": DEFAULT_CADENCE_S,
-        "rounds": rounds,
-        "requests_per_round": requests,
-        "request_size": request_size,
-        "p50_ms": median,
-        "per_round_p50_ms": p50s,
-        "disabled_p50_ms": disabled_p50,
-        "enabled_p50_ratio": enabled_ratio,
-        "disabled_aa_ratio": aa_ratio,
-        "enabled_ok": bool(enabled_ratio <= 1.05),
-        "disabled_ok": bool(aa_ratio <= 1.25),
-    }
+    off = {"monitor": False}
+    on = {"monitor": True, "monitor_interval_s": DEFAULT_CADENCE_S}
+    return {"cadence_s": DEFAULT_CADENCE_S,
+            **_overhead({"disabled_a": off, "enabled": on,
+                         "disabled_b": off}, quick, seed, workers)}
 
 
 _DETECTORS = {

@@ -21,10 +21,14 @@ into an online serving system:
   :class:`repro.obs.MetricsRegistry` (``server.metrics``) with a
   Prometheus exporter, and opt-in worker-side compute profiling
   (``profile=True``).
-* :mod:`repro.serve.bench` — the closed-loop load generator and the
-  worker-scaling / batching-deadline / fault-tolerance / transport
-  drills recorded in ``BENCH_serving.json`` (run through
-  :mod:`repro.bench`; the ``repro serve`` CLI is the load-gen demo).
+* :mod:`repro.serve.loadgen` — the one load generator: simulated
+  clients (closed loop or pipelined) against an in-process server or a
+  gateway address, with one per-tag outcome tally; every drill, bench
+  lane and CLI demo drives its traffic through it.
+* :mod:`repro.serve.bench` — the worker-scaling / batching-deadline /
+  fault-tolerance / transport drills recorded in ``BENCH_serving.json``
+  (run through :mod:`repro.bench`; the ``repro serve`` CLI is the
+  load-gen demo).
 * :mod:`repro.serve.gateway` — the network front door: a selectors-based
   TCP/HTTP gateway (length-prefixed JSON frames + ``POST /localize``)
   with pipelining, per-connection backpressure, graceful drain, and a

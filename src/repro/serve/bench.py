@@ -1,7 +1,9 @@
-"""Serving benchmark: closed-loop load generation, scaling + deadline sweeps.
+"""Serving benchmark: worker-scaling and batching-deadline sweeps, the
+kill-one-worker drill and the shm-vs-pickle transport comparison.
 
 Four experiments, recorded as the ``serving`` section of
-``BENCH_serving.json`` (see :mod:`repro.bench`):
+``BENCH_serving.json`` (see :mod:`repro.bench`); their load comes from
+:mod:`repro.serve.loadgen`:
 
 * **throughput_vs_workers** — closed-loop clients hammer the server with
   ``max_batch``-sized requests at worker counts 1/2/4; aggregate
@@ -31,13 +33,13 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import threading
 import time
 
 import numpy as np
 
 from repro.infer.benchmark import thread_config
 from repro.infer.session import InferenceSession
+from repro.serve import loadgen
 from repro.serve import shm as shm_transport
 from repro.serve.server import LocalizationServer
 
@@ -61,65 +63,6 @@ def make_session(
         rng=rng,
     )
     return InferenceSession(model, max_batch=max_batch)
-
-
-def closed_loop_load(
-    server: LocalizationServer,
-    images: np.ndarray,
-    clients: int,
-    requests_per_client: int,
-    request_size: int,
-    seed: int = 0,
-    timeout: float = 120.0,
-    model: str | None = None,
-) -> dict:
-    """Closed-loop load generator: each client thread submits one request,
-    blocks for its result, then immediately submits the next.
-
-    ``model`` targets one deployment of a multi-tenant server (fleet
-    benchmarks); None hits the single-model default route.  Returns
-    aggregate throughput plus the server's own stats snapshot.
-    """
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, max(1, len(images) - request_size),
-                          size=(clients, requests_per_client))
-    errors: list[str] = []
-    done = threading.Barrier(clients + 1)
-
-    def client(worker_index: int) -> None:
-        try:
-            for step in range(requests_per_client):
-                begin = int(starts[worker_index, step])
-                request_id = server.submit(
-                    images[begin : begin + request_size], model=model
-                )
-                server.result(request_id, timeout=timeout)
-        except Exception as error:  # surface, don't hang the barrier
-            errors.append(f"client {worker_index}: {error}")
-        finally:
-            done.wait()
-
-    threads = [threading.Thread(target=client, args=(i,), daemon=True)
-               for i in range(clients)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    done.wait()
-    elapsed = time.perf_counter() - start
-    for thread in threads:
-        thread.join(timeout=5.0)
-
-    total_samples = clients * requests_per_client * request_size
-    return {
-        "clients": clients,
-        "requests_per_client": requests_per_client,
-        "request_size": request_size,
-        "total_samples": total_samples,
-        "elapsed_s": elapsed,
-        "samples_per_s": total_samples / elapsed if elapsed > 0 else 0.0,
-        "errors": errors,
-        "stats": server.stats(),
-    }
 
 
 def run_fault_tolerance_drill(
@@ -335,18 +278,17 @@ def run_transport_benchmark(
         with LocalizationServer(session, workers=workers,
                                 max_batch=max_batch, max_delay_ms=2.0,
                                 transport=transport) as server:
-            run = closed_loop_load(
-                server, pool, clients=clients,
-                requests_per_client=requests_per_client,
-                request_size=max_batch, seed=seed + 3,
-            )
+            run = loadgen.run(loadgen.ServerTarget(server),
+                              loadgen.windows(pool, max_batch, seed + 3),
+                              clients=clients, requests=requests_per_client)
+            stats = server.stats()
         end_to_end[transport] = {
-            "samples_per_s": run["samples_per_s"],
-            "errors": len(run["errors"]),
-            "transport_stats": run["stats"]["transport"],
+            "samples_per_s": run.samples_per_s,
+            "errors": run.failures,
+            "transport_stats": stats["transport"],
         }
         log(f"    end-to-end {transport}: "
-            f"{run['samples_per_s']:.0f} samples/s")
+            f"{run.samples_per_s:.0f} samples/s")
     speedup = None
     if "shm" in end_to_end and end_to_end["pickle"]["samples_per_s"] > 0:
         speedup = (end_to_end["shm"]["samples_per_s"]
@@ -416,19 +358,18 @@ def run_serving_benchmark(
         with LocalizationServer(session, workers=workers, max_batch=max_batch,
                                 max_delay_ms=2.0,
                                 transport=transport) as server:
-            run = closed_loop_load(
-                server, pool, clients=clients,
-                requests_per_client=requests_per_client,
-                request_size=max_batch, seed=seed,
-            )
+            run = loadgen.run(loadgen.ServerTarget(server),
+                              loadgen.windows(pool, max_batch, seed),
+                              clients=clients, requests=requests_per_client)
+            stats = server.stats()
         row = {
             "workers": workers,
-            "samples_per_s": run["samples_per_s"],
-            "elapsed_s": run["elapsed_s"],
-            "total_samples": run["total_samples"],
-            "errors": len(run["errors"]),
-            "request_latency_ms": run["stats"]["request_latency_ms"],
-            "per_shard_samples": [s["samples"] for s in run["stats"]["shards"]],
+            "samples_per_s": run.samples_per_s,
+            "elapsed_s": run.elapsed_s,
+            "total_samples": run.tally()["samples"],
+            "errors": run.failures,
+            "request_latency_ms": stats["request_latency_ms"],
+            "per_shard_samples": [s["samples"] for s in stats["shards"]],
         }
         throughput_rows.append(row)
         log(f"  workers={workers}: {row['samples_per_s']:.0f} samples/s "
@@ -445,12 +386,12 @@ def run_serving_benchmark(
                                 max_batch=max_batch,
                                 max_delay_ms=deadline_ms,
                                 transport=transport) as server:
-            run = closed_loop_load(
-                server, pool, clients=max(8, clients),
-                requests_per_client=max(4, deadline_requests // max(8, clients)),
-                request_size=1, seed=seed + 2,
-            )
-        shards = run["stats"]["shards"]
+            run = loadgen.run(
+                loadgen.ServerTarget(server), loadgen.windows(pool, 1, seed + 2),
+                clients=max(8, clients),
+                requests=max(4, deadline_requests // max(8, clients)))
+            stats = server.stats()
+        shards = stats["shards"]
         sizes = [s["mean_batch_size"] for s in shards if s["mean_batch_size"]]
         batches = sum(s["batches"] for s in shards)
         row = {
@@ -458,8 +399,8 @@ def run_serving_benchmark(
             "workers": sweep_workers,
             "mean_batch_size": float(np.mean(sizes)) if sizes else None,
             "batches": batches,
-            "samples_per_s": run["samples_per_s"],
-            "request_latency_ms": run["stats"]["request_latency_ms"],
+            "samples_per_s": run.samples_per_s,
+            "request_latency_ms": stats["request_latency_ms"],
         }
         deadline_rows.append(row)
         latency = row["request_latency_ms"]["p50_ms"]

@@ -24,10 +24,11 @@ to parse request bodies) in front of a running
   by model route and invalidated on fleet swap/canary events.
 * :mod:`~repro.serve.gateway.client` — :class:`GatewayClient` (pipelined
   framed-JSON) and :func:`http_localize` (one-shot HTTP).
-* :mod:`~repro.serve.gateway.bench` — the closed-loop *network* load
-  generator: connection-scaling curves, the co-location/cache-hit sweep,
-  and the graceful-drain drill, recorded as the ``gateway`` section of
-  ``BENCH_serving.json`` (see :mod:`repro.bench`).
+* :mod:`~repro.serve.gateway.bench` — the network drills, driven by
+  :mod:`repro.serve.loadgen` over real sockets: connection-scaling
+  curves, the co-location/cache-hit sweep, and the graceful-drain drill,
+  recorded as the ``gateway`` section of ``BENCH_serving.json`` (see
+  :mod:`repro.bench`).
 """
 
 from repro.serve.gateway.cache import QuantizedResultCache

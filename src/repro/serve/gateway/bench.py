@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 
+from repro.serve import loadgen
 from repro.serve.bench import make_session
 from repro.serve.gateway.client import GatewayClient
 from repro.serve.gateway.server import GatewayServer
@@ -46,87 +47,6 @@ def _fingerprint_pool(count: int, image_size: int, seed: int) -> np.ndarray:
     return rng.uniform(-90.0, -30.0,
                        size=(count, image_size * image_size * 3)
                        ).astype(np.float32)
-
-
-def _run_clients(host: str, port: int, *, clients: int,
-                 requests_per_client: int, pick_fingerprint,
-                 timeout: float = 60.0) -> dict:
-    """Closed-loop network load: each client thread owns one connection,
-    submits a request, blocks for its response, repeats.  Returns
-    client-side accounting (every request must come back — ok *or*
-    structured error — to count as responded)."""
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-    counters = {"sent": 0, "responded": 0, "ok": 0, "errors": 0,
-                "transport_failures": 0}
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients + 1)
-
-    def worker(index: int) -> None:
-        sent = responded = ok = errors = failures = 0
-        try:
-            client = GatewayClient(host, port, timeout=timeout)
-        except OSError:
-            with lock:
-                counters["transport_failures"] += requests_per_client
-            barrier.wait()
-            barrier.wait()
-            return
-        barrier.wait()
-        try:
-            for step in range(requests_per_client):
-                fingerprint = pick_fingerprint(index, step)
-                begin = time.perf_counter()
-                try:
-                    rid = client.submit(fingerprint)
-                    sent += 1
-                    response = client.result(rid, timeout=timeout)
-                except (OSError, ConnectionError):
-                    failures += 1
-                    break
-                latencies[index].append(
-                    (time.perf_counter() - begin) * 1e3)
-                responded += 1
-                if response.get("ok"):
-                    ok += 1
-                else:
-                    errors += 1
-        finally:
-            client.close()
-            with lock:
-                counters["sent"] += sent
-                counters["responded"] += responded
-                counters["ok"] += ok
-                counters["errors"] += errors
-                counters["transport_failures"] += failures
-            barrier.wait()
-
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()  # all connected
-    start = time.perf_counter()
-    barrier.wait()  # all done
-    elapsed = time.perf_counter() - start
-    for thread in threads:
-        thread.join(timeout=5.0)
-    flat = np.array([ms for per in latencies for ms in per],
-                    dtype=np.float64)
-    summary = {
-        "count": int(flat.size),
-        "p50_ms": float(np.percentile(flat, 50)) if flat.size else None,
-        "p95_ms": float(np.percentile(flat, 95)) if flat.size else None,
-        "p99_ms": float(np.percentile(flat, 99)) if flat.size else None,
-        "mean_ms": float(flat.mean()) if flat.size else None,
-    }
-    return {
-        **counters,
-        "lost": counters["sent"] - counters["responded"],
-        "elapsed_s": elapsed,
-        "requests_per_s": (counters["responded"] / elapsed
-                           if elapsed > 0 else 0.0),
-        "latency_ms": summary,
-    }
 
 
 def run_connection_scaling(server, *, client_counts=(16, 64, 256),
@@ -151,18 +71,29 @@ def run_connection_scaling(server, *, client_counts=(16, 64, 256),
                      _stride=requests_per_client):
                 return _pool[index * _stride + step]
 
-            run = _run_clients(gateway.host, gateway.port, clients=count,
-                               requests_per_client=requests_per_client,
-                               pick_fingerprint=pick)
+            run = loadgen.run(loadgen.GatewayTarget(gateway.host,
+                                                    gateway.port),
+                              pick, clients=count,
+                              requests=requests_per_client)
             summary = gateway.summary()
         finally:
             gateway.close()
+        tally = run.tally()
+        # Every request must come back — ok *or* structured error — to
+        # count as responded; a broken connection counts as lost.
+        responded = loadgen.answered(tally)
         row = {
             "clients": count,
             "requests_per_client": requests_per_client,
-            **{k: run[k] for k in ("sent", "responded", "lost", "errors",
-                                   "transport_failures", "elapsed_s",
-                                   "requests_per_s", "latency_ms")},
+            "sent": tally["sent"],
+            "responded": responded,
+            "lost": tally["sent"] - responded,
+            "errors": responded - tally["completed"],
+            "transport_failures": tally["transport_failures"],
+            "elapsed_s": run.elapsed_s,
+            "requests_per_s": (responded / run.elapsed_s
+                               if run.elapsed_s > 0 else 0.0),
+            "latency_ms": run.latency_ms(),
             "gateway": {
                 "connections_total": summary["connections"]["total"],
                 "shed": summary["requests"]["shed"],
@@ -221,9 +152,10 @@ def run_cache_effectiveness(server, *, hit_ratios=(0.0, 0.5, 0.9),
                 return _unique[index * _stride + step]
 
             submitted_before = server.stats()["requests"]["submitted"]
-            run = _run_clients(gateway.host, gateway.port, clients=clients,
-                               requests_per_client=requests_per_client,
-                               pick_fingerprint=pick)
+            run = loadgen.run(loadgen.GatewayTarget(gateway.host,
+                                                    gateway.port),
+                              pick, clients=clients,
+                              requests=requests_per_client)
             submitted_delta = (server.stats()["requests"]["submitted"]
                                - submitted_before)
             summary = gateway.summary()
@@ -236,13 +168,13 @@ def run_cache_effectiveness(server, *, hit_ratios=(0.0, 0.5, 0.9),
         lane = {
             "target_hit_ratio": ratio,
             "requests": total,
-            "lost": run["lost"],
+            "lost": run.tally()["sent"] - loadgen.answered(run.tally()),
             "hits": hits,
             "misses": cache["misses"],
             "hit_rate": cache["hit_rate"],
             "hit_p50_ms": summary["latency_ms"]["hit"]["p50_ms"],
             "miss_p50_ms": summary["latency_ms"]["miss"]["p50_ms"],
-            "client_latency_ms": run["latency_ms"],
+            "client_latency_ms": run.latency_ms(),
             # Cached responses bypass inference: the serving layer saw
             # exactly the misses (plus nothing else from this lane).
             "server_submitted_delta": submitted_delta,
@@ -285,76 +217,34 @@ def run_drain_drill(server, *, clients: int = 8, warmup_s: float = 0.4,
                             cache_entries=0).start()
     image_size = server.route_info()["image_size"]
     pool = _fingerprint_pool(64, image_size, seed + 3)
-    stop = threading.Event()
-    lock = threading.Lock()
-    counters = {"sent": 0, "responded": 0, "ok": 0, "draining_errors": 0,
-                "other_errors": 0, "send_failures": 0}
-
-    def worker(index: int) -> None:
-        sent = responded = ok = draining = other = failures = 0
-        try:
-            client = GatewayClient(gateway.host, gateway.port, timeout=30.0)
-        except OSError:
-            return
-        try:
-            step = 0
-            while not stop.is_set():
-                try:
-                    rid = client.submit(pool[(index * 17 + step) % len(pool)])
-                    sent += 1
-                    response = client.result(rid, timeout=30.0)
-                except (OSError, ConnectionError):
-                    failures += 1
-                    break
-                responded += 1
-                if response.get("ok"):
-                    ok += 1
-                elif (response.get("error") or {}).get("code") == "draining":
-                    draining += 1
-                    break  # the gateway told us it is going away
-                else:
-                    other += 1
-                step += 1
-        finally:
-            client.close()
-            with lock:
-                counters["sent"] += sent
-                counters["responded"] += responded
-                counters["ok"] += ok
-                counters["draining_errors"] += draining
-                counters["other_errors"] += other
-                counters["send_failures"] += failures
-
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(clients)]
-    for thread in threads:
-        thread.start()
+    load = loadgen.Load(loadgen.GatewayTarget(gateway.host, gateway.port,
+                                              timeout=30.0),
+                        lambda client, step: pool[(client * 17 + step)
+                                                  % len(pool)],
+                        clients=clients).start()
     time.sleep(warmup_s)
     begin = time.perf_counter()
     gateway.close(timeout=15.0)
     drain_ms = (time.perf_counter() - begin) * 1e3
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=10.0)
+    tally = load.stop().tally()
     summary = gateway.summary()
-    # A request whose *send* failed never reached the gateway; every
-    # request that got in must have gotten a response back out.
-    lost = counters["sent"] - counters["responded"] \
-        - counters["send_failures"]
+    # A request whose connection broke never got in (or was refused at
+    # the socket); every request that got in must get a response out.
+    answered = loadgen.answered(tally)
     return {
         "clients": clients,
-        "accepted": counters["sent"] - counters["send_failures"],
-        "responded": counters["responded"],
-        "ok_responses": counters["ok"],
-        "draining_errors": counters["draining_errors"],
-        "other_errors": counters["other_errors"],
-        "send_failures": counters["send_failures"],
-        "lost": lost,
+        "accepted": answered + tally["lost"],
+        "responded": answered,
+        "ok_responses": tally["completed"],
+        "draining_errors": tally["draining"],
+        "other_errors": answered - tally["completed"] - tally["draining"],
+        "send_failures": tally["transport_failures"],
+        "lost": tally["lost"],
         "drain_latency_ms": drain_ms,
         "gateway_received": summary["requests"]["received"],
         "gateway_responded": summary["requests"]["responded"],
         "gate_drain_zero_lost": bool(
-            lost == 0 and counters["ok"] > 0
+            tally["lost"] == 0 and tally["completed"] > 0
             and summary["requests"]["responded"]
             >= summary["requests"]["received"]),
     }
@@ -419,22 +309,12 @@ def run_gateway_smoke(clients: int = 6, requests_per_client: int = 8,
         gateway = GatewayServer(server, max_connections=clients + 4,
                                 cache_step_db=2.0, cache_entries=256).start()
         try:
-            lock = threading.Lock()
             got = {"responses": 0, "ok": 0}
 
-            def normal(index: int) -> None:
-                with GatewayClient(gateway.host, gateway.port) as client:
-                    for step in range(requests_per_client):
-                        response = client.localize(
-                            shared[(index + step) % len(shared)])
-                        with lock:
-                            got["responses"] += 1
-                            got["ok"] += bool(response.get("ok"))
-
             def slow_reader() -> None:
-                # Pipeline everything up front, then read slowly — the
-                # gateway must buffer (or shed with a structured error),
-                # never drop an id.
+                # A fault injector, not load: pipeline everything up
+                # front, then read slowly — the gateway must buffer (or
+                # shed with a structured error), never drop an id.
                 with GatewayClient(gateway.host, gateway.port) as client:
                     ids = [client.submit(shared[step % len(shared)])
                            for step in range(requests_per_client)]
@@ -442,20 +322,20 @@ def run_gateway_smoke(clients: int = 6, requests_per_client: int = 8,
                     for rid in ids:
                         response = client.result(rid, timeout=30.0)
                         time.sleep(0.02)
-                        with lock:
-                            got["responses"] += 1
-                            got["ok"] += bool(response.get("ok")
-                                              or (response.get("error") or {})
-                                              .get("code") == "overloaded")
+                        got["responses"] += 1
+                        got["ok"] += bool(response.get("ok")
+                                          or (response.get("error") or {})
+                                          .get("code") == "overloaded")
 
-            threads = [threading.Thread(target=normal, args=(i,),
-                                        daemon=True)
-                       for i in range(clients - 1)]
-            threads.append(threading.Thread(target=slow_reader, daemon=True))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
+            reader = threading.Thread(target=slow_reader, daemon=True)
+            reader.start()
+            tally = loadgen.run(
+                loadgen.GatewayTarget(gateway.host, gateway.port),
+                lambda client, step: shared[(client + step) % len(shared)],
+                clients=clients - 1, requests=requests_per_client).tally()
+            reader.join(timeout=60.0)
+            got["responses"] += loadgen.answered(tally)
+            got["ok"] += tally["completed"]
             expected = clients * requests_per_client
             summary = gateway.summary()
             if got["responses"] != expected:

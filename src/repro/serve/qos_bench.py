@@ -29,8 +29,9 @@ import time
 import numpy as np
 
 from repro.obs.slo import Slo
-from repro.serve.admission import DeadlineExpired, QosPolicy, RouteOverloaded
-from repro.serve.bench import closed_loop_load, make_session
+from repro.serve import loadgen
+from repro.serve.admission import QosPolicy
+from repro.serve.bench import make_session
 from repro.serve.server import DEFAULT_MODEL, LocalizationServer
 
 __all__ = [
@@ -54,42 +55,11 @@ def _image_pool(count: int, image_size: int, seed: int) -> np.ndarray:
                        ).astype(np.float32)
 
 
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=np.float64), q))
-
-
-def _new_tally() -> dict:
-    return {"accepted": 0, "rejected": 0, "completed": 0,
-            "expired": 0, "failed": 0, "lost": 0}
-
-
-def _merge_tallies(per_thread: list[dict]) -> dict:
-    merged = _new_tally()
-    for tally in per_thread:
-        for key in merged:
-            merged[key] += tally[key]
-    return merged
-
-
-def _collect(server: LocalizationServer, request_id: int, tally: dict,
-             timeout: float = 30.0) -> bool:
-    """Resolve one accepted request into exactly one tally bucket.
-    ``lost`` means the server forgot an accepted id — the one outcome
-    admission control exists to make impossible."""
-    try:
-        server.result(request_id, timeout=timeout)
-    except DeadlineExpired:
-        tally["expired"] += 1
-    except (TimeoutError, KeyError):
-        tally["lost"] += 1
-    except RuntimeError:
-        tally["failed"] += 1
-    else:
-        tally["completed"] += 1
-        return True
-    return False
+def _class_row(tally: dict) -> dict:
+    """A loadgen tally in the record's per-class shape."""
+    return {"accepted": tally["sent"] - tally["rejected"],
+            **{key: tally[key] for key in ("rejected", "completed",
+                                           "expired", "failed", "lost")}}
 
 
 def run_overload_drill(
@@ -130,10 +100,10 @@ def run_overload_drill(
     # -- phase 1: clean capacity -------------------------------------
     with LocalizationServer(session, workers=workers,
                             max_delay_ms=1.0) as server:
-        capacity = closed_loop_load(server, images, clients=4,
-                                    requests_per_client=capacity_requests,
-                                    request_size=8, seed=seed)
-    capacity_sps = capacity["samples_per_s"]
+        capacity = loadgen.run(loadgen.ServerTarget(server),
+                               loadgen.windows(images, 8, seed),
+                               clients=4, requests=capacity_requests)
+    capacity_sps = capacity.samples_per_s
 
     # -- phase 2: the flood ------------------------------------------
     # Route queue bound ≈ 100 ms of backlog at measured capacity; the
@@ -148,109 +118,68 @@ def run_overload_drill(
     qos = {DEFAULT_MODEL: QosPolicy(priority="standard",
                                     max_queue=queue_bound)}
 
-    interactive_out: list[dict] = [None] * interactive_clients
-    flood_out: list[dict] = [None] * flood_threads
-    latencies: list[list[float]] = [[] for _ in range(interactive_clients)]
     stop = threading.Event()
+
+    def interactive_image(client: int, step: int) -> np.ndarray:
+        begin = (client * 37 + step) % (len(images) - 1)
+        return images[begin:begin + 1]
+
+    def flood_request(client: int, step: int) -> loadgen.Request:
+        # 2/3 batch, 1/3 standard — the shed ordering gate needs both
+        # classes present under pressure.
+        begin = (client * 53 + step) % (len(images) - request_size)
+        return loadgen.Request(images[begin:begin + request_size],
+                               priority="batch" if step % 3 else "standard")
 
     with LocalizationServer(session, workers=workers, max_delay_ms=1.0,
                             monitor=True, monitor_interval_s=0.05,
                             monitor_slos=[trigger], monitor_rules=(),
                             qos=qos) as server:
-
-        def interactive_worker(index: int) -> None:
-            tally = _new_tally()
-            step = 0
-            while not stop.is_set():
-                begin = (index * 37 + step) % (len(images) - 1)
-                step += 1
-                try:
-                    request_id = server.submit(
-                        images[begin:begin + 1], priority="interactive",
-                        deadline_ms=interactive_deadline_ms)
-                except RouteOverloaded:
-                    tally["rejected"] += 1
-                    time.sleep(0.002)
-                    continue
-                tally["accepted"] += 1
-                start = time.perf_counter()
-                if _collect(server, request_id, tally):
-                    latencies[index].append(
-                        (time.perf_counter() - start) * 1000.0)
-            interactive_out[index] = tally
-
-        def flood_worker(index: int) -> None:
-            tallies = {cls: _new_tally() for cls in _FLOOD_CLASSES}
-            pending: list[tuple[int, str]] = []
-            step = 0
-            while not stop.is_set():
-                # 2/3 batch, 1/3 standard — the shed ordering gate needs
-                # both classes present under pressure.
-                cls = "batch" if step % 3 else "standard"
-                begin = (index * 53 + step) % (len(images) - request_size)
-                step += 1
-                try:
-                    request_id = server.submit(
-                        images[begin:begin + request_size], priority=cls)
-                except RouteOverloaded:
-                    tallies[cls]["rejected"] += 1
-                    time.sleep(0.002)
-                    continue
-                tallies[cls]["accepted"] += 1
-                pending.append((request_id, cls))
-                if len(pending) >= 128:  # bound uncollected ids
-                    for rid, rcls in pending[:32]:
-                        _collect(server, rid, tallies[rcls])
-                    del pending[:32]
-            for rid, rcls in pending:  # final drain: resolve every id
-                _collect(server, rid, tallies[rcls])
-            flood_out[index] = tallies
-
-        threads = ([threading.Thread(target=interactive_worker, args=(i,),
-                                     daemon=True)
-                    for i in range(interactive_clients)]
-                   + [threading.Thread(target=flood_worker, args=(i,),
-                                       daemon=True)
-                      for i in range(flood_threads)])
         start = time.perf_counter()
-        for thread in threads:
-            thread.start()
+        loads = [
+            loadgen.Load(loadgen.ServerTarget(
+                             server, priority="interactive",
+                             deadline_ms=interactive_deadline_ms,
+                             timeout=30.0),
+                         interactive_image, clients=interactive_clients,
+                         stop=stop).start(),
+            # Open loop: up to 128 uncollected ids per flooder, so offered
+            # load is bounded only by the route queue.
+            loadgen.Load(loadgen.ServerTarget(server, timeout=30.0),
+                         flood_request, clients=flood_threads, stop=stop,
+                         pipeline=128).start(),
+        ]
         time.sleep(flood_s)
         stop.set()
-        for thread in threads:
-            thread.join(timeout=60.0)
+        interactive_run, flood_run = (load.join() for load in loads)
         elapsed = time.perf_counter() - start
 
         admission = server.stats()["admission"]
-        counters = server.qos.all_counters().get(DEFAULT_MODEL,
-                                                 _new_tally())
+        counters = server.qos.all_counters().get(DEFAULT_MODEL, {})
 
-    interactive = _merge_tallies([t for t in interactive_out if t])
-    classes = {"interactive": interactive}
+    classes = {"interactive": _class_row(interactive_run.tally("interactive"))}
     for cls in _FLOOD_CLASSES:
-        classes[cls] = _merge_tallies(
-            [t[cls] for t in flood_out if t])
+        classes[cls] = _class_row(flood_run.tally(cls))
 
-    all_latencies = [ms for per in latencies for ms in per]
-    completed_samples = (interactive["completed"]
-                         + sum(classes[cls]["completed"] * request_size
-                               for cls in _FLOOD_CLASSES))
+    latency = interactive_run.latency_ms()
+    completed_samples = (interactive_run.tally()["samples"]
+                         + flood_run.tally()["samples"])
     goodput_sps = completed_samples / elapsed if elapsed > 0 else 0.0
     goodput_ratio = goodput_sps / capacity_sps if capacity_sps > 0 else 0.0
     lost = sum(tally["lost"] for tally in classes.values())
     failed = sum(tally["failed"] for tally in classes.values())
     rejected = sum(tally["rejected"] for tally in classes.values())
-    p95 = _percentile(all_latencies, 95.0)
+    p95 = latency["p95_ms"] or 0.0
 
     gates = {
         "gate_zero_lost": lost == 0 and failed == 0,
         "gate_shed_engaged": counters.get("shed", 0) > 0,
         "gate_rejections_structured": rejected > 0,
-        "gate_interactive_served": interactive["completed"] > 0,
+        "gate_interactive_served": classes["interactive"]["completed"] > 0,
     }
     if gate_goodput:
         gates["gate_goodput"] = goodput_ratio >= REQUIRED_GOODPUT_RATIO
-        gates["gate_interactive_p95"] = (bool(all_latencies)
+        gates["gate_interactive_p95"] = (latency["count"] > 0
                                          and p95 <= interactive_slo_ms)
 
     return {
@@ -268,8 +197,8 @@ def run_overload_drill(
         "elapsed_s": elapsed,
         "classes": classes,
         "interactive_latency_ms": {
-            "n": len(all_latencies),
-            "p50_ms": _percentile(all_latencies, 50.0),
+            "n": latency["count"],
+            "p50_ms": latency["p50_ms"] or 0.0,
             "p95_ms": p95,
         },
         "goodput_samples_per_s": goodput_sps,
@@ -320,9 +249,7 @@ def run_two_tenant_drill(
     session = make_session(image_size, num_classes, max_batch, seed)
     snapshot = session.snapshot()
     images = _image_pool(256, image_size, seed + 1)
-    errors: list[str] = []
-    completed = {"tenant_a": 0, "tenant_b": 0}
-    lock = threading.Lock()
+    runs: list[loadgen.LoadResult] = []
     trajectory: list[float] = []
 
     with FleetServer(workers=workers, max_batch=max_batch,
@@ -330,31 +257,18 @@ def run_two_tenant_drill(
         server.deploy("tenant_a", version=1, snapshot=snapshot)
         server.deploy("tenant_b", version=1, snapshot=snapshot)
 
-        def client(model: str, size: int, duration_s: float) -> None:
-            deadline = time.perf_counter() + duration_s
-            done = 0
-            step = 0
-            try:
-                while time.perf_counter() < deadline:
-                    begin = step % (len(images) - size)
-                    step += 1
-                    request_id = server.submit(images[begin:begin + size],
-                                               model=model)
-                    server.result(request_id, timeout=30.0)
-                    done += size
-            except Exception as error:  # any loss/failure fails the gate
-                errors.append(f"{model}: {error}")
-            with lock:
-                completed[model] += done
-
         def run_phase(spec: list[tuple[str, int]], duration_s: float,
                       watch: bool = False) -> None:
-            threads = [threading.Thread(target=client,
-                                        args=(model, size, duration_s),
-                                        daemon=True)
-                       for model, size in spec]
-            for thread in threads:
-                thread.start()
+            """One closed-loop client per ``(model, size)`` entry."""
+            def pick(client: int, step: int) -> loadgen.Request:
+                model, size = spec[client]
+                begin = step % (len(images) - size)
+                return loadgen.Request(images[begin:begin + size],
+                                       model=model)
+
+            load = loadgen.Load(loadgen.ServerTarget(server, timeout=30.0),
+                                pick, clients=len(spec),
+                                duration_s=duration_s).start()
             if watch:
                 end = time.perf_counter() + duration_s
                 while time.perf_counter() < end:
@@ -362,8 +276,7 @@ def run_two_tenant_drill(
                     if share is not None:
                         trajectory.append(share)
                     time.sleep(0.05)
-            for thread in threads:
-                thread.join(timeout=60.0)
+            runs.append(load.join())
 
         run_phase([("tenant_a", 2), ("tenant_b", 2)], warm_s)
         share_before = server.route_shares().get("tenant_a", 0.5)
@@ -375,8 +288,9 @@ def run_two_tenant_drill(
         rebalances = (server.autoscaler.rebalances
                       if server.autoscaler is not None else 0)
 
+    errors = [error for run in runs for error in run.errors]
     gates = {
-        "gate_zero_lost": not errors,
+        "gate_zero_lost": sum(run.failures for run in runs) == 0,
         "gate_share_borrowed": share_peak >= 0.6,
         "gate_share_returned": abs(share_after - 0.5) <= 0.15,
         "gate_rebalanced": rebalances >= 2,
@@ -392,7 +306,9 @@ def run_two_tenant_drill(
         "share_peak_hot": round(share_peak, 4),
         "share_after_cooldown": round(share_after, 4),
         "rebalances": rebalances,
-        "completed_samples": dict(completed),
+        "completed_samples": {
+            model: sum(run.tally(model)["samples"] for run in runs)
+            for model in ("tenant_a", "tenant_b")},
         "errors": errors,
         "gates": gates,
         "ok": all(gates.values()),

@@ -17,7 +17,6 @@ import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 DEFAULT_DTYPE = np.float32
 
@@ -390,7 +389,9 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        result = _special.expit(self.data)
+        from scipy.special import expit  # lazy: the serving path never trains
+
+        result = expit(self.data)
         out = self._make(result, (self,))
         if out.requires_grad:
 
@@ -413,8 +414,10 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Exact Gaussian-error GELU, the non-linearity used by the ViT MLPs."""
+        from scipy.special import erf
+
         x = self.data
-        cdf = 0.5 * (1.0 + _special.erf(x / np.sqrt(2.0)))
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         out = self._make(x * cdf, (self,))
         if out.requires_grad:
             pdf = np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi)
@@ -426,7 +429,9 @@ class Tensor:
         return out
 
     def erf(self) -> "Tensor":
-        out = self._make(_special.erf(self.data), (self,))
+        from scipy.special import erf
+
+        out = self._make(erf(self.data), (self,))
         if out.requires_grad:
             coeff = 2.0 / np.sqrt(np.pi)
 

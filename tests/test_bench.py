@@ -254,3 +254,16 @@ def test_quantization_delta_limit_scales_with_float32_error():
     assert bench.SECTIONS["quantization"].gates(value) == []
     vital["per_channel_delta_m"] = 1.6
     assert len(bench.SECTIONS["quantization"].gates(value)) == 1
+
+
+@pytest.mark.parametrize("float32_m,problems", [(3.11, 0), (21.08, 1)])
+def test_quantization_smoke_fails_an_untrained_vital(monkeypatch, float32_m,
+                                                     problems):
+    """21.08 m is what two epochs give: worse than a random guess."""
+    value = _committed("quantization")
+    value["accuracy"]["chance_mean_error_m"] = 17.65
+    value["accuracy"]["frameworks"]["VITAL"]["float32_mean_error_m"] = \
+        float32_m
+    monkeypatch.setitem(bench.SECTIONS, "quantization", dataclasses.replace(
+        bench.SECTIONS["quantization"], run=lambda quick, seed: value))
+    assert len(bench.SECTIONS["quantization"].smoke(0)) == problems
