@@ -309,16 +309,16 @@ class FleetServer(LocalizationServer):
         deadline = start + timeout
         while True:
             with self._lock:
-                # _staged covers the hand-off window between the dispatcher
-                # popping requests (under _cond) and the batch landing in
-                # _in_flight (under _lock) — holding both locks here means
-                # every live request is visible in exactly one of the three.
+                # _staged covers the hand-off window between a request
+                # leaving _pending (or an inline submit taking it) and its
+                # batch landing in _in_flight — holding both locks here
+                # means every live request is visible in one of the three.
                 busy = any(b.key == key for b in self._in_flight.values())
                 if not busy:
                     with self._cond:
                         busy = any(
                             key in (r.routed_key, r.forced_key)
-                            for r in list(self._pending) + self._staged
+                            for r in [*self._pending, *self._staged.values()]
                         )
             if not busy:
                 return time.perf_counter() - start
@@ -420,7 +420,8 @@ class FleetServer(LocalizationServer):
             return self._routes.get(model)
 
     def _resolve_route(self, model: str) -> str:
-        # Dispatcher thread only: the fraction accumulator needs no lock.
+        # Called under _cond (see _route_for), which guards the fraction
+        # accumulator.
         canary = self._canaries.get(model)
         if canary is not None and canary.active:
             canary.acc += canary.policy.fraction

@@ -619,25 +619,25 @@ class GatewayServer:
         if not isinstance(client_id, int) or isinstance(client_id, bool):
             client_id = None
         if self._draining:
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_DRAINING, "gateway is shutting down"))
             return
         try:
             client_id, fingerprint, model = protocol.parse_request(obj)
             priority, deadline_ms = protocol.parse_qos(obj)
         except ValueError as error:
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST, str(error)))
             return
         if client_id in conn.seen_ids:
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST,
                 f"request id {client_id} is already in flight"))
             return
         try:
             info = self.server.route_info(model)
         except ValueError as error:
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_UNKNOWN_MODEL, str(error)))
             return
         size, channels = info["image_size"], info["channels"]
@@ -649,12 +649,12 @@ class GatewayServer:
             x = np.fromiter(fingerprint, np.float64, len(fingerprint)) \
                 .astype(np.float32)
         except (ValueError, TypeError):
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST,
                 "fingerprint must be numeric"))
             return
         if x.size != expected or not np.isfinite(x).all():
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_BAD_REQUEST,
                 f"fingerprint must hold {expected} finite values "
                 f"({size}x{size}x{channels}), got {x.size}"))
@@ -671,7 +671,6 @@ class GatewayServer:
                 t1 = time.perf_counter()
                 cached = self.cache.get(cache_key)
                 if cached is not None:
-                    self.requests_responded += 1
                     done = time.perf_counter()
                     self.latency_hit.add((done - t0) * 1e3)
                     if traced:
@@ -680,7 +679,7 @@ class GatewayServer:
                             Span("cache_lookup", t1, done),
                             Span("cache_hit", done, done),
                         ])
-                    self._queue_response(conn, {
+                    self._answer(conn, {
                         "id": client_id, "ok": True, "cache": "hit",
                         "logits": np.asarray(cached)[0].tolist()})
                     return
@@ -693,21 +692,21 @@ class GatewayServer:
                                      priority=priority,
                                      deadline_ms=deadline_ms)
         except ValueError as error:
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_UNKNOWN_MODEL, str(error)))
             return
         except RouteOverloaded as error:
             # Admission rejection: the request never entered the queue —
             # a small structured 503 with the server's back-off hint.
             self.overloaded += 1
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, protocol.E_OVERLOADED, str(error),
                 retry_after_s=error.retry_after_s))
             return
         except RuntimeError as error:
             code = (protocol.E_DRAINING if "shutting down" in str(error)
                     else protocol.E_SERVER_ERROR)
-            self._queue_response(conn, protocol.error_response(
+            self._answer(conn, protocol.error_response(
                 client_id, code, str(error)))
             return
         conn.inflight += 1
@@ -766,12 +765,10 @@ class GatewayServer:
                                        ])
                 payload = {"id": entry.client_id, "ok": True,
                            "cache": "miss", "logits": row.tolist()}
-            self.requests_responded += 1
             conn.inflight = max(0, conn.inflight - 1)
             conn.seen_ids.discard(entry.client_id)
-            if not conn.closed:
-                self._queue_response(conn, payload)
-                self._resume_parse(conn)
+            self._answer(conn, payload)
+            self._resume_parse(conn)
 
     def _record_trace(self, client_id, model, transport, spans) -> None:
         self.tracer.record(RequestTrace(
@@ -779,6 +776,16 @@ class GatewayServer:
             1, transport, None, spans))
 
     # -- response queueing / shedding ------------------------------------
+    def _answer(self, conn: _Conn, obj: dict) -> None:
+        """Answer a request counted in ``requests_received``: the one
+        place ``requests_responded`` is counted, so every answer — ok,
+        cache hit, error or timeout — counts once.  An answer whose
+        connection has closed still counts: the gateway finished the
+        request and only the client is gone.  Requests dropped with
+        their connection before an answer exists are not counted."""
+        self.requests_responded += 1
+        self._queue_response(conn, obj)
+
     def _queue_response(self, conn: _Conn, obj: dict) -> None:
         if conn.closed:
             return
@@ -844,12 +851,10 @@ class GatewayServer:
                 conn = entry.conn
                 conn.inflight = max(0, conn.inflight - 1)
                 conn.seen_ids.discard(entry.client_id)
-                if not conn.closed:
-                    self._queue_response(conn, protocol.error_response(
-                        entry.client_id, protocol.E_TIMEOUT,
-                        f"request not served within "
-                        f"{self.request_timeout_s}s"))
-                    self._resume_parse(conn)
+                self._answer(conn, protocol.error_response(
+                    entry.client_id, protocol.E_TIMEOUT,
+                    f"request not served within {self.request_timeout_s}s"))
+                self._resume_parse(conn)
         if self.idle_timeout_s:
             cutoff = now - self.idle_timeout_s
             for conn in list(self._conns.values()):

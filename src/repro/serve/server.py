@@ -2,39 +2,50 @@
 
 Architecture::
 
-    client threads ──submit()──▶ pending deque ──▶ dispatcher thread
-                                                       │  adaptive micro-batcher
-                                                       │  + per-model routing
-                                                       ▼
-                              least-loaded shard task queue (one per worker)
-                                                       │
+    client thread ──submit()──┬── nothing queued and a shard idle ────────┐
+                              │   (dispatched on the caller's thread)     │
+                              ▼                                           │
+                        pending deque ──▶ dispatcher thread               │
+                                            │ adaptive micro-batcher      │
+                                            │ + per-model routing         │
+                                            ▼                             │
+                        least-loaded shard's task pipe (one per worker) ◀─┘
+                                            │
                  worker process 0..N-1: {route key → restored session}
-                                                       │
-                              per-worker result pipe ──▶ collector thread
+                                            │
+                        per-worker result pipe ──▶ collector thread
                                                        │
     client threads ◀──result()── request events ◀──────┘
 
 * Each worker process holds a *table* of compiled sessions keyed by route
   key, each restored from a snapshot shipped as flat arrays over its task
-  queue — no model, no tape, no closures cross the process boundary.  A
+  pipe — no model, no tape, no closures cross the process boundary.  A
   single-model :class:`LocalizationServer` uses one key
   (:data:`DEFAULT_MODEL`); the multi-tenant :class:`repro.fleet.FleetServer`
   loads one key per deployed model version and hot-swaps between them.
-* Requests carry a model id; the dispatcher resolves it to a route key at
-  dispatch time (so a routing flip instantly redirects queued traffic),
-  dispatches at once while a shard is idle, otherwise coalesces same-key
-  requests up to ``max_batch`` samples or an adaptive latency deadline
-  (:mod:`repro.serve.batcher`), and routes each batch to the shard with
-  the fewest outstanding samples.
+* Requests carry a model id, resolved to a route key at dispatch time (so
+  a routing flip instantly redirects queued traffic).  A request that
+  finds nothing queued and a shard idle is dispatched by ``submit``
+  itself, on the caller's thread; otherwise the dispatcher thread
+  coalesces same-key requests up to ``max_batch`` samples or an adaptive
+  latency deadline (:mod:`repro.serve.batcher`), dispatching at once
+  whenever a shard goes idle.  Each batch goes to the shard with the
+  fewest outstanding samples.
 * Batch payloads default to the **zero-copy shared-memory transport**
-  (:mod:`repro.serve.shm`): the dispatcher writes each micro-batch's
-  float32 image block straight into the target shard's ring segment and
-  sends only a small ``(offset, shape, generation)`` descriptor over the
-  queue; the worker gathers by offset and writes its logits into the
-  lease's reserved output block.  A full ring applies backpressure
-  (bounded wait, then a per-batch *spill* to the pickle transport — never
-  a drop), and hosts without ``multiprocessing.shared_memory`` fall back
-  to pickle wholesale.
+  (:mod:`repro.serve.shm`): the dispatching thread writes each
+  micro-batch's float32 image block straight into the target shard's
+  ring segment and sends only a fixed ``struct`` record (offsets, sample
+  count, generation) over the task pipe; the worker gathers by offset,
+  writes its logits into the lease's reserved output block and answers
+  with a 9-byte record.  A full ring applies backpressure (bounded wait,
+  then a per-batch *spill* to the pickle transport — never a drop), and
+  hosts without ``multiprocessing.shared_memory`` fall back to pickle
+  wholesale.
+* Task-pipe messages are posted under the bookkeeping lock and written
+  after it is released, by whichever thread holds the shard's send lock
+  (:meth:`LocalizationServer._flush`): a pipe write blocks while the pipe
+  is full, and the worker only empties it while the collector can take
+  the lock to read its results.
 * Results travel over per-worker pipes (single writer each), so a worker
   dying mid-write can never corrupt another shard's channel.
 * A monitor thread health-checks the workers and restarts crashed ones;
@@ -50,11 +61,12 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing as mp
+import os
 import pickle
+import selectors
 import threading
 import time
 from collections import deque
-from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -90,25 +102,35 @@ from repro.serve.stats import (
 #: Model id (and route key) a single-model server serves under.
 DEFAULT_MODEL = "default"
 
+#: What ``multiprocessing.connection.wait`` polls with, kept open here.
+_PipeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
-def _worker_main(worker_id: int, task_queue, result_conn,
+
+def _worker_main(worker_id: int, task_conn, result_conn,
                  ring_name: str | None = None, generation: int = 0,
                  profile: bool = False) -> None:
     """Worker process loop: restore sessions on demand, serve batches.
 
-    Protocol (task queue → worker): ``("load", key, snapshot)``,
-    ``("unload", key)``, ``("batch", batch_id, key, payload, traced)``,
-    ``("stop",)``.  ``payload`` is either a pickled ndarray (the pickle
-    transport) or a shared-memory batch descriptor
-    (:func:`repro.serve.shm.batch_descriptor`) naming offsets in the
-    shard's ring segment ``ring_name``; descriptors are stamped with the
-    worker ``generation`` and a mismatch (or a failed ring attach) is
-    reported as :class:`~repro.serve.shm.ShmTransportError` so the
-    parent re-dispatches the batch over pickle instead of failing it.
-    Protocol (worker → result pipe): ``("loaded", worker_id, key)``,
+    Task pipe (parent → worker), read one message at a time:
+
+    * a shm batch is one fixed ``struct`` record
+      (:func:`repro.serve.shm.batch_record`: batch id, input/output ring
+      offsets, sample count, generation, traced flag, route key).  The
+      shapes come from the route's session; a record stamped with
+      another ``generation`` (or a failed ring attach) is reported as
+      :class:`~repro.serve.shm.ShmTransportError`, so the parent
+      re-dispatches the batch over pickle instead of failing it;
+    * everything else is pickled: ``("load", key, snapshot)``,
+      ``("unload", key)``, ``("batch", batch_id, key, images, traced)``
+      (the pickle transport) and ``("stop",)``.
+
+    Result pipe (worker → parent): an untraced shm batch answers with a
+    :func:`repro.serve.shm.done_record` (its logits are already in the
+    lease's output block); everything else is pickled:
+    ``("loaded", worker_id, key)``,
     ``("load_failed", worker_id, key, message)``,
-    ``("done", batch_id, logits_or_descriptor, compute_s, timing)``,
-    ``("error", batch_id, message)``.
+    ``("done", batch_id, logits_or_None, compute_s, timing)`` (``None``
+    for a shm batch) and ``("error", batch_id, message)``.
 
     ``traced`` marks a batch whose requests sampled tracing; only then
     does the worker stamp its side of the timeline — ``timing`` rides
@@ -138,64 +160,71 @@ def _worker_main(worker_id: int, task_queue, result_conn,
     sessions: dict[str, InferenceSession] = {}
     try:
         while True:
-            message = task_queue.get()
-            kind = message[0]
-            if kind == "load":
-                _, key, snapshot = message
-                try:
-                    sessions[key] = restore_session(snapshot)
-                    if profile:
-                        sessions[key]._profiler = SessionProfiler()
-                except Exception as error:  # report, keep serving others
-                    result_conn.send(
-                        ("load_failed", worker_id, key,
-                         f"{type(error).__name__}: {error}")
+            data = task_conn.recv_bytes()
+            if data[:1] == shm_transport.BATCH_TAG:
+                (batch_id, in_offset, out_offset, n, stamp, traced,
+                 key) = shm_transport.read_batch_record(data)
+                images = None
+            else:
+                message = pickle.loads(data)
+                kind = message[0]
+                if kind == "load":
+                    _, key, snapshot = message
+                    try:
+                        sessions[key] = restore_session(snapshot)
+                        if profile:
+                            sessions[key]._profiler = SessionProfiler()
+                    except Exception as error:  # report, keep serving others
+                        result_conn.send(
+                            ("load_failed", worker_id, key,
+                             f"{type(error).__name__}: {error}")
+                        )
+                    else:
+                        result_conn.send(("loaded", worker_id, key))
+                    continue
+                if kind == "unload":
+                    sessions.pop(message[1], None)
+                    continue
+                if kind == "stop":
+                    if ring is not None:
+                        ring.close()
+                    return
+                _, batch_id, key, images, traced = message  # "batch"
+            recv = time.perf_counter() if traced else 0.0
+            try:
+                session = sessions.get(key)
+                if session is None:
+                    raise RuntimeError(f"model {key!r} not loaded on worker")
+                if images is None:
+                    size, channels = session.image_size, session.channels
+                    images, out = shm_transport.open_batch(
+                        ring, in_offset, (n, size, size, channels),
+                        out_offset, (n, session.num_classes), stamp,
+                        generation,
                     )
+                    start = time.perf_counter()
+                    out[:] = session.predict_many(images)
+                    result = None  # the logits are in the lease
                 else:
-                    result_conn.send(("loaded", worker_id, key))
-            elif kind == "unload":
-                sessions.pop(message[1], None)
-            elif kind == "batch":
-                _, batch_id, key, payload, traced = message
-                recv = time.perf_counter() if traced else 0.0
-                try:
-                    session = sessions.get(key)
-                    if session is None:
-                        raise RuntimeError(f"model {key!r} not loaded on worker")
-                    if shm_transport.is_descriptor(payload):
-                        images, out_offset, out_shape = shm_transport.open_batch(
-                            ring, payload, generation
-                        )
-                        start = time.perf_counter()
-                        logits = session.predict_many(images)
-                        ring.view(out_offset, out_shape)[:] = logits
-                        compute_s = time.perf_counter() - start
-                        result = shm_transport.result_descriptor(
-                            out_offset, out_shape, generation
-                        )
-                    else:
-                        start = time.perf_counter()
-                        result = session.predict_many(payload)
-                        compute_s = time.perf_counter() - start
-                    timing = None
-                    profiler = getattr(session, "_profiler", None)
-                    if profiler is not None:
-                        # drain per batch so phases never bleed across traces
-                        phases = profiler.drain()
-                    else:
-                        phases = None
-                    if traced:
-                        timing = (recv, start, start + compute_s, phases)
+                    start = time.perf_counter()
+                    result = session.predict_many(images)
+                compute_s = time.perf_counter() - start
+                profiler = getattr(session, "_profiler", None)
+                # drain per batch so phases never bleed across traces
+                phases = profiler.drain() if profiler is not None else None
+                if traced:
                     result_conn.send(("done", batch_id, result, compute_s,
-                                      timing))
-                except Exception as error:  # report, keep serving
-                    result_conn.send(
-                        ("error", batch_id, f"{type(error).__name__}: {error}")
-                    )
-            elif kind == "stop":
-                if ring is not None:
-                    ring.close()
-                return
+                                      (recv, start, start + compute_s,
+                                       phases)))
+                elif result is None:
+                    result_conn.send_bytes(shm_transport.done_record(batch_id))
+                else:
+                    result_conn.send(("done", batch_id, result, compute_s,
+                                      None))
+            except Exception as error:  # report, keep serving
+                result_conn.send(
+                    ("error", batch_id, f"{type(error).__name__}: {error}")
+                )
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         return  # parent went away — nothing sensible left to do
 
@@ -267,7 +296,12 @@ class _Shard:
     def __init__(self, index: int):
         self.index = index
         self.process = None
-        self.task_queue = None
+        self.task_conn = None  # parent end of the worker's task pipe
+        #: Messages for the task pipe, ``(conn, message)`` in the order
+        #: they were posted (under the bookkeeping lock); written by
+        #: whoever holds ``send_lock`` — see ``LocalizationServer._flush``.
+        self.outbox: deque = deque()
+        self.send_lock = threading.Lock()
         self.result_conn = None  # parent end of the worker's result pipe
         self.outstanding = 0  # dispatched-but-unfinished samples
         self.ready = threading.Event()
@@ -278,7 +312,7 @@ class _Shard:
         self.failed = False  # exceeded the restart budget
         self.conn_dead = False  # EOF seen; awaiting monitor restart
         self.ring = None  # parent-owned ShmRing; survives restarts
-        self.generation = 0  # bumped per (re)spawn; stamps descriptors
+        self.generation = 0  # bumped per (re)spawn; stamps batch records
 
 
 class LocalizationServer:
@@ -309,8 +343,8 @@ class LocalizationServer:
     transport:
         ``"shm"`` (default) moves batch payloads through per-shard
         shared-memory rings (:mod:`repro.serve.shm`) and only small
-        descriptors through the queues; ``"pickle"`` ships the ndarrays
-        themselves.  ``"shm"`` silently degrades to ``"pickle"`` on
+        fixed records through the task pipes; ``"pickle"`` ships the
+        ndarrays themselves.  ``"shm"`` silently degrades to ``"pickle"`` on
         platforms without ``multiprocessing.shared_memory`` (the reason
         is surfaced under ``stats()["transport"]["fallback_reason"]``).
     ring_bytes:
@@ -468,10 +502,14 @@ class LocalizationServer:
         self._ring_cond = threading.Condition(self._lock)
         self._requests: dict[int, _Request] = {}
         self._in_flight: dict[int, _Batch] = {}
-        #: Requests popped by the dispatcher but not yet in _in_flight —
-        #: written under _cond (gather), cleared under _lock (dispatch),
-        #: so anything holding both locks sees every live request.
-        self._staged: list[_Request] = []
+        #: Requests taken for dispatch (by the dispatcher's gather or an
+        #: inline submit) but not yet in _in_flight, by request id —
+        #: guarded by _cond, so anything holding both locks sees every
+        #: live request in _pending, _staged or _in_flight.
+        self._staged: dict[int, _Request] = {}
+        #: Bumped (under _lock) whenever a shard's result pipe opens,
+        #: closes or dies; the collector rebuilds its selector then.
+        self._conn_epoch = 0
         self._request_ids = itertools.count()
         self._batch_ids = itertools.count()
         self._threads: list[threading.Thread] = []
@@ -596,6 +634,8 @@ class LocalizationServer:
             shard = _Shard(index)
             self._shards.append(shard)
             self._spawn_worker(shard)
+        for shard in self._shards:  # every worker boots while we write
+            self._flush(shard)
 
         for name, target in (
             ("serve-collector", self._collector_loop),
@@ -666,12 +706,13 @@ class LocalizationServer:
         return max(need, shm_transport.MIN_RING_BYTES)
 
     def _spawn_worker(self, shard: _Shard) -> None:
-        """Create the queue/pipe pair and process for ``shard`` and seed it
-        with every currently loaded snapshot.
+        """Create the task/result pipes and process for ``shard`` and post
+        every currently loaded snapshot to it (the caller flushes them
+        once it has released the bookkeeping lock).
 
         The shard's ring segment is created once and *survives* restarts
         (the parent owns it, and re-dispatched batch data lives in it);
-        each spawn bumps the shard generation, so descriptors minted for
+        each spawn bumps the shard generation, so batch records minted for
         a dead worker can never be honored by its replacement without
         being re-stamped."""
         if self.transport == "shm" and shard.ring is None:
@@ -684,10 +725,11 @@ class LocalizationServer:
                     f"{type(error).__name__}: {error}"
                 )
         shard.generation += 1
-        shard.task_queue = self._ctx.Queue()
+        task_recv, shard.task_conn = self._ctx.Pipe(duplex=False)
         receive_conn, send_conn = self._ctx.Pipe(duplex=False)
         shard.result_conn = receive_conn
         shard.conn_dead = False
+        self._conn_epoch += 1
         shard.ready.clear()
         shard.expected = set(self._snapshots)
         # Keep existing ack events: a load_model() caller may be blocked on
@@ -703,16 +745,19 @@ class LocalizationServer:
         shard.load_failures = {}
         shard.process = self._ctx.Process(
             target=_worker_main,
-            args=(shard.index, shard.task_queue, send_conn,
+            args=(shard.index, task_recv, send_conn,
                   shard.ring.name if shard.ring is not None else None,
                   shard.generation, self.profile),
             name=f"repro-serve-worker-{shard.index}",
             daemon=True,
         )
         shard.process.start()
-        send_conn.close()  # parent keeps only the receiving end
+        # The parent keeps only its own ends: the worker's death then
+        # reads as EOF on the result pipe and EPIPE on the task pipe.
+        send_conn.close()
+        task_recv.close()
         for key, snapshot in self._snapshots.items():
-            shard.task_queue.put(("load", key, snapshot))
+            self._post(shard, ("load", key, snapshot))
             self._transports[key].record_ship()
         if not shard.expected:
             shard.ready.set()  # empty multi-tenant server: nothing to restore
@@ -733,9 +778,10 @@ class LocalizationServer:
         if drain:
             deadline = time.perf_counter() + timeout
             while time.perf_counter() < deadline:
-                with self._lock:
-                    idle = not self._in_flight and not self._staged
-                if idle and not self._pending:
+                with self._lock, self._cond:
+                    idle = not (self._in_flight or self._staged
+                                or self._pending)
+                if idle:
                     break
                 time.sleep(0.01)
         self._stopping = True
@@ -746,11 +792,7 @@ class LocalizationServer:
         with self._ring_cond:
             self._ring_cond.notify_all()  # unblock a backpressured dispatch
         for shard in self._shards:
-            try:
-                if shard.task_queue is not None:
-                    shard.task_queue.put(("stop",))
-            except (ValueError, OSError):
-                pass
+            self._send_stop(shard)
         for thread in self._threads:
             thread.join(timeout=2.0)
         for shard in self._shards:
@@ -760,7 +802,11 @@ class LocalizationServer:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=1.0)
+                if process.is_alive():  # SIGSTOPped: SIGTERM stays pending
+                    process.kill()
+                    process.join(timeout=1.0)
             self._teardown_shard(shard, unlink_ring=True)
+            self._flush(shard)  # the worker is gone: closes the task pipe
         self._fail_outstanding("server closed")
         if self.monitor is not None:
             self._journal_event("server_stopped",
@@ -774,24 +820,82 @@ class LocalizationServer:
         Shared by the stop path (:meth:`close`) and the failure path
         (:meth:`_restart_shard`): each resource is nulled as it is
         released, so calling this twice — or once from each path — closes
-        the queue and pipe exactly once.  The ring segment is parent-owned
-        state that must *survive* restarts (re-dispatched batch data lives
-        in it), so it is only unlinked when ``unlink_ring`` is set — the
-        shutdown path — and that too exactly once
+        the pipes exactly once.  Messages still waiting for the old task
+        pipe are dropped (a restart re-seeds the snapshots and re-sends
+        every in-flight batch), and the pipe itself is closed by the next
+        :meth:`_flush`, under the send lock, so no writer can be midway
+        through it.  The ring segment is parent-owned state that must
+        *survive* restarts (re-dispatched batch data lives in it), so it
+        is only unlinked when ``unlink_ring`` is set — the shutdown path —
+        and that too exactly once
         (:meth:`repro.serve.shm.ShmRing.close` is itself idempotent)."""
-        if shard.task_queue is not None:
-            shard.task_queue.close()
-            shard.task_queue.cancel_join_thread()
-            shard.task_queue = None
+        shard.outbox.clear()
+        if shard.task_conn is not None:
+            shard.outbox.append((shard.task_conn, None))
+            shard.task_conn = None
         if shard.result_conn is not None:
             try:
                 shard.result_conn.close()
             except OSError:
                 pass
             shard.result_conn = None
+            self._conn_epoch += 1
         if unlink_ring and shard.ring is not None:
             shard.ring.close(unlink=True)
             shard.ring = None
+
+    # -- task pipes ----------------------------------------------------
+    def _post(self, shard: _Shard, message) -> None:
+        """Queue ``message`` — a record's ``bytes`` or a picklable tuple —
+        for ``shard``'s current task pipe.  Called under the bookkeeping
+        lock and never blocks; the caller sends it with :meth:`_flush`
+        once the lock is released."""
+        if shard.task_conn is not None:
+            shard.outbox.append((shard.task_conn, message))
+
+    def _flush(self, shard: _Shard, wait: bool = True) -> None:
+        """Write ``shard``'s queued messages in the order they were posted.
+
+        Never called under the bookkeeping lock: a pipe write blocks while
+        the pipe is full, and the worker only empties it while the
+        collector — which needs that lock — takes its results.  Nor from
+        the collector thread, for the same reason.  Whoever holds the
+        send lock writes every queued message, so a poster that finds it
+        taken may leave its message to the holder (``wait=False``)."""
+        if not shard.send_lock.acquire(blocking=wait):
+            return
+        try:
+            outbox = shard.outbox
+            while outbox:
+                try:
+                    conn, message = outbox.popleft()
+                except IndexError:
+                    return  # cleared by a teardown meanwhile
+                try:
+                    if message is None:
+                        conn.close()
+                    elif isinstance(message, bytes):
+                        conn.send_bytes(message)
+                    else:
+                        conn.send(message)
+                except (OSError, ValueError):
+                    pass  # dead worker: the restart re-sends what matters
+        finally:
+            shard.send_lock.release()
+
+    def _send_stop(self, shard: _Shard) -> None:
+        """Best-effort ``("stop",)`` that never waits on a full pipe: a
+        worker that cannot take it is terminated by :meth:`close`."""
+        conn = shard.task_conn
+        if conn is None or not shard.send_lock.acquire(timeout=0.5):
+            return
+        try:
+            os.set_blocking(conn.fileno(), False)
+            conn.send(("stop",))
+        except (OSError, ValueError):
+            pass
+        finally:
+            shard.send_lock.release()
 
     def _free_lease(self, batch: _Batch) -> None:
         """Release a shm batch's ring lease (no-op for pickle batches);
@@ -808,9 +912,9 @@ class LocalizationServer:
         with self._lock:
             batches = list(self._in_flight.values())
             self._in_flight.clear()
-            staged = self._staged
-            self._staged = []
             with self._cond:
+                staged = list(self._staged.values())
+                self._staged.clear()
                 pending = list(self._pending)
                 self._pending.clear()
                 self._pending_by_model.clear()
@@ -839,16 +943,16 @@ class LocalizationServer:
             info = self._register(key, snapshot, model=model, version=version)
             if self._started:
                 for shard in self._shards:
-                    if shard.failed or shard.task_queue is None:
+                    if shard.failed or shard.task_conn is None:
                         continue
                     event = threading.Event()
                     shard.load_acks[key] = event
-                    try:
-                        shard.task_queue.put(("load", key, snapshot))
-                        self._transports[key].record_ship()
-                        acks.append((shard, event))
-                    except (ValueError, OSError):
-                        pass  # broken queue: the monitor restart re-seeds it
+                    self._post(shard, ("load", key, snapshot))
+                    self._transports[key].record_ship()
+                    acks.append((shard, event))
+        # A broken pipe drops the message; the monitor restart re-seeds it.
+        for shard, _event in acks:
+            self._flush(shard)
         deadline = time.perf_counter() + timeout
         for shard, event in acks:
             remaining = deadline - time.perf_counter()
@@ -884,12 +988,10 @@ class LocalizationServer:
             for shard in self._shards:
                 shard.load_acks.pop(key, None)
                 shard.load_failures.pop(key, None)
-                if shard.failed or shard.task_queue is None:
-                    continue
-                try:
-                    shard.task_queue.put(("unload", key))
-                except (ValueError, OSError):
-                    pass
+                if not shard.failed:
+                    self._post(shard, ("unload", key))
+        for shard in self._shards:
+            self._flush(shard)
 
     def set_route(self, model: str, key: str) -> None:
         """Atomically point ``model`` at route ``key`` (queued requests not
@@ -902,11 +1004,14 @@ class LocalizationServer:
     def _model_for_key(self, key: str) -> str:
         """Reverse route lookup (route key → model id), used to attribute
         route-labeled SLO reports to the model whose policy sheds.  Falls
-        back to the ``model@vN`` key convention for retired keys."""
-        with self._lock:
-            for model, route in self._routes.items():
-                if route == key:
-                    return model
+        back to the ``model@vN`` key convention for retired keys.
+
+        Takes no lock: the shed update calls it under _cond, and every
+        dispatch takes _cond while holding _lock.  ``list()`` copies the
+        table in one step under the GIL."""
+        for model, route in list(self._routes.items()):
+            if route == key:
+                return model
         return key.split("@", 1)[0]
 
     # -- elastic shard shares (driven by the Autoscaler) ----------------
@@ -981,7 +1086,17 @@ class LocalizationServer:
         when the request finishes — success *or* failure — right after its
         completion event is set.  It runs on a server-internal thread with
         the bookkeeping lock held, so it must only hand off (enqueue +
-        wake), never block or call back into the server."""
+        wake), never block or call back into the server.
+
+        When nothing is queued, a live shard is idle and no elastic
+        shares are set, the request is dispatched on the caller's thread:
+        it is written to that shard's ring and its record to the shard's
+        task pipe before ``submit`` returns, without waking the
+        dispatcher.  An idle shard has no live leases, so the ring write
+        does not wait for space (a race that makes it busy first is
+        bounded by ``spill_wait_ms``), and the record write only waits
+        while the pipe is full.  Queued or coalesced work goes through
+        the dispatcher."""
         entered = time.perf_counter()  # the trace's enqueue span starts here
         if not self._started:
             raise RuntimeError("server not started (call start() or use `with`)")
@@ -1014,11 +1129,15 @@ class LocalizationServer:
             # the disabled path.
             if self.tracer.enabled:
                 request.traced = self.tracer.sample()
-        reject = None
+        reject = inline = None
         with self._cond:
             now = time.perf_counter()
             queued = self._pending_by_model.get(model, 0)
-            if len(self._pending) >= self.max_queue:
+            if self._stopping:
+                # Re-checked under _cond: close() fails whatever is queued
+                # or staged under this lock, so nothing slips in after.
+                reject = RuntimeError("server is shutting down")
+            elif len(self._pending) >= self.max_queue:
                 # Server-wide bound: holds unconditionally — including
                 # shard-restart windows, when dispatch stalls but submits
                 # keep arriving (the queue must stay bounded, not absorb
@@ -1051,16 +1170,27 @@ class LocalizationServer:
                 )
             else:
                 self.qos.record_admitted(model, now=now)
-                self._account_pending(request)
-                self._pending.append(request)
                 self._policy.observe_arrival(now)
-                self._cond.notify()
+                if not self._pending and not self._route_shares \
+                        and self._idle_shard():
+                    # Work-conserving without a hand-off: nothing is queued
+                    # ahead and a shard is idle, so this thread dispatches
+                    # the request itself (staged until it is in flight).
+                    inline = self._route_for(request)
+                    self._staged[request.id] = request
+                else:
+                    self._account_pending(request)
+                    self._pending.append(request)
+                    self._cond.notify()
         if reject is not None:
             with self._lock:
                 self._requests.pop(request.id, None)
                 self._submitted -= 1
-                self._rejected += 1
+                if isinstance(reject, RouteOverloaded):
+                    self._rejected += 1
             raise reject
+        if inline is not None:
+            self._dispatch(inline, [request])
         return request.id
 
     def result(self, request_id: int, timeout: float | None = None) -> np.ndarray:
@@ -1184,7 +1314,8 @@ class LocalizationServer:
         Resolution happens at dispatch time so a hot swap redirects even
         already-queued traffic; it sticks so a request skipped by one
         coalescing round keeps its assignment (canary fractions stay
-        exact).  Only the dispatcher thread calls this."""
+        exact).  Called under _cond (the dispatcher's gather or an inline
+        submit), which serializes every resolution."""
         if request.routed_key is not None:
             return request.routed_key
         if request.forced_key is not None:
@@ -1335,9 +1466,6 @@ class LocalizationServer:
             head = self._prefer_under_share(self._pending.popleft())
             self._unaccount_pending(head)
             key = self._route_for(head)
-            if key not in self._snapshots:
-                self._finish_error(head, f"model route {key!r} is not loaded")
-                return None, []
             taken: list[_Request] = [head]
             total = head.n
             # Collect same-route requests until the batch is full or a
@@ -1360,10 +1488,16 @@ class LocalizationServer:
             # Stage the taken requests (still under _cond) so a concurrent
             # drain cannot see them in neither _pending nor _in_flight
             # during the hand-off to _dispatch.
-            self._staged = taken
+            for request in taken:
+                self._staged[request.id] = request
             return key, taken
 
     def _dispatch(self, key: str, requests: list[_Request]) -> None:
+        """Send staged ``requests`` (one route) to the least-loaded shard
+        as one batch.  Runs on the dispatcher thread or inline in
+        :meth:`submit`; the bookkeeping moves the requests from _staged to
+        _in_flight under the lock, and the task-pipe write happens after
+        the lock is released."""
         n = sum(r.n for r in requests)
         info = self._model_info.get(key)
         # A batch is traced when any of its requests sampled tracing; the
@@ -1377,20 +1511,21 @@ class LocalizationServer:
         # and a *spilled* batch assembles under it too, a price only the
         # rare overflow path pays.
         assembled = None
-        if self.transport != "shm":
+        if self.transport != "shm" and info is not None:
             assembled = assemble_images([r.images for r in requests])
         deadline = time.perf_counter() + self.spill_wait_ms / 1e3
         with self._lock:
             while True:
                 shards = [s for s in self._shards if not s.failed]
-                if not shards:
+                if not shards or info is None:
+                    reason = ("all shards failed" if info is not None
+                              else f"model route {key!r} is not loaded")
                     for request in requests:
-                        self._finish_error(request, "all shards failed")
-                    self._staged = []
+                        self._finish_error(request, reason)
+                    self._unstage(requests)
                     return
                 shard = min(shards, key=lambda s: (s.outstanding, s.index))
-                if self.transport != "shm" or shard.ring is None \
-                        or info is None:
+                if self.transport != "shm" or shard.ring is None:
                     transport, offset = "pickle", None
                     break
                 in_shape = (n, info["image_size"], info["image_size"],
@@ -1421,78 +1556,109 @@ class LocalizationServer:
             payload_bytes = n * (
                 info["image_size"] * info["image_size"] * info["channels"]
                 + info["num_classes"]
-            ) * 4 if info is not None else sum(r.images.nbytes for r in requests)
+            ) * 4
             write_started = time.perf_counter() if traced else 0.0
+            batch_id = next(self._batch_ids)
             if transport == "shm":
                 # Assemble the batch *in place*: request blocks are written
                 # straight into the ring lease — no stacked temporary, no
-                # pickled payload; only the descriptor crosses the queue.
+                # pickled payload; only a fixed record crosses the pipe.
                 lease = (offset, in_shape, offset + in_bytes, out_shape)
                 assemble_images([r.images for r in requests],
                                 out=shard.ring.view(offset, in_shape))
-                payload = shm_transport.batch_descriptor(
-                    offset, in_shape, offset + in_bytes, out_shape,
-                    shard.generation,
-                )
                 images = None
+                message = shm_transport.batch_record(
+                    batch_id, offset, offset + in_bytes, n,
+                    shard.generation, traced, key)
             else:
                 lease = None
                 images = assembled if assembled is not None \
                     else assemble_images([r.images for r in requests])
-                payload = images
-            batch = _Batch(next(self._batch_ids), shard.index, key, requests,
+                message = ("batch", batch_id, key, images, traced)
+            batch = _Batch(batch_id, shard.index, key, requests,
                            images, n, transport=transport, lease=lease)
             batch.traced = traced
             batch.gathered = gathered
             batch.write_started = write_started
             self._in_flight[batch.id] = batch
-            self._staged = []  # same lock hold: staged→in-flight is atomic
+            self._unstage(requests)  # same lock hold: staged→in-flight
             self._track_outstanding(requests, +1)
             shard.outstanding += batch.n
             shard.stats.record_dispatch(batch.n)
             self._transport_totals.record_batch(transport, payload_bytes)
             self._route_stats_for(key).transport.record_batch(
                 transport, payload_bytes)
-            try:
-                shard.task_queue.put(("batch", batch.id, key, payload, traced))
-            except (ValueError, OSError, AttributeError):
-                # Queue already broken/torn down — leave the batch in
-                # _in_flight; the monitor re-dispatches it on restart.
-                pass
+            # A broken pipe drops the message and leaves the batch in
+            # _in_flight: the monitor re-dispatches it on restart.
+            self._post(shard, message)
             if traced:
                 batch.sent = time.perf_counter()
+        self._flush(shard)
+
+    def _unstage(self, requests: list[_Request]) -> None:
+        """Drop ``requests`` from _staged (under _lock; takes _cond, the
+        lock order :meth:`_requeue` already uses)."""
+        with self._cond:
+            for request in requests:
+                self._staged.pop(request.id, None)
 
     # -- collector -----------------------------------------------------
     def _collector_loop(self) -> None:
-        while not self._stopping:
-            with self._lock:
-                conns = {
-                    shard.result_conn: shard
-                    for shard in self._shards
-                    if shard.result_conn is not None and not shard.conn_dead
-                }
-            if not conns:
-                time.sleep(0.02)
-                continue
-            try:
-                ready = mp_connection.wait(list(conns), timeout=0.1)
-            except OSError:
-                continue  # a conn got closed under us (restart); re-snapshot
-            for conn in ready:
-                shard = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError, ValueError):
+        """Read every shard's result pipe through one persistent selector,
+        rebuilt only when the set of live result pipes changes
+        (``_conn_epoch``)."""
+        selector, epoch = None, None
+        try:
+            while not self._stopping:
+                if epoch != self._conn_epoch:
+                    if selector is not None:
+                        selector.close()
+                    selector = _PipeSelector()
                     with self._lock:
-                        # Only flag the shard if this is still its live
-                        # connection — a stale conn from before a restart
-                        # must not condemn the healthy replacement.
-                        if conn is shard.result_conn:
-                            shard.conn_dead = True  # monitor restarts it
+                        epoch = self._conn_epoch
+                        for shard in self._shards:
+                            conn = shard.result_conn
+                            if conn is None or shard.conn_dead:
+                                continue
+                            try:
+                                selector.register(conn.fileno(),
+                                                  selectors.EVENT_READ,
+                                                  (conn, shard))
+                            except (OSError, ValueError):
+                                pass  # closed by a concurrent close()
+                if not selector.get_map():
+                    time.sleep(0.02)
                     continue
-                self._handle_result(shard, message)
+                try:
+                    ready = selector.select(timeout=0.1)
+                except OSError:
+                    epoch = None  # a conn got closed under us; rebuild
+                    continue
+                for key, _events in ready:
+                    conn, shard = key.data
+                    try:
+                        data = conn.recv_bytes()
+                    except (EOFError, OSError, ValueError):
+                        with self._lock:
+                            # Only flag the shard if this is still its live
+                            # connection — a stale conn from before a restart
+                            # must not condemn the healthy replacement.
+                            if conn is shard.result_conn \
+                                    and not shard.conn_dead:
+                                shard.conn_dead = True  # monitor restarts it
+                                self._conn_epoch += 1
+                        continue
+                    self._handle_result(shard, data)
+        finally:
+            if selector is not None:
+                selector.close()
 
-    def _handle_result(self, shard: _Shard, message) -> None:
+    def _handle_result(self, shard: _Shard, data: bytes) -> None:
+        if data[:1] == shm_transport.DONE_TAG:
+            message = ("done", shm_transport.read_done_record(data), None,
+                       None, None)
+        else:
+            message = pickle.loads(data)
         kind = message[0]
         if kind in ("loaded", "load_failed"):
             _, _worker, key = message[:3]
@@ -1522,11 +1688,11 @@ class LocalizationServer:
                 current.stats.record_complete(
                     batch.n, (now - batch.dispatched) * 1e3
                 )
-                if shm_transport.is_descriptor(logits):
+                if batch.transport == "shm":
                     # Gather the logits block from the ring; the lease is
                     # freed right after the per-request slices are copied
                     # out, so the block becomes reusable immediately.
-                    _tag, out_offset, out_shape, _gen = logits
+                    _offset, _in_shape, out_offset, out_shape = batch.lease
                     logits = np.array(
                         current.ring.view(out_offset, out_shape), copy=True
                     )
@@ -1591,8 +1757,10 @@ class LocalizationServer:
                 self._cond.notify()
 
     def _redispatch_as_pickle(self, batch: _Batch, shard: _Shard) -> None:
-        """Convert a shm batch whose descriptor the worker rejected into a
-        pickle batch and re-send it; called under the bookkeeping lock."""
+        """Convert a shm batch whose record the worker rejected into a
+        pickle batch and post it; called by the collector under the
+        bookkeeping lock.  The collector never writes a task pipe (see
+        :meth:`_flush`): the monitor thread sends it on its next tick."""
         offset, in_shape, _out_offset, _out_shape = batch.lease
         # Re-stamp the write for traced batches: the failed shm attempt is
         # absorbed into this (monotone, contiguous) pickle_write span.
@@ -1607,11 +1775,8 @@ class LocalizationServer:
         shard.outstanding += batch.n
         self._transport_totals.record_spill()
         self._route_stats_for(batch.key).transport.record_spill()
-        try:
-            shard.task_queue.put(("batch", batch.id, batch.key, batch.images,
-                                  batch.traced))
-        except (ValueError, OSError, AttributeError):
-            pass  # monitor restart will re-dispatch it
+        self._post(shard, ("batch", batch.id, batch.key, batch.images,
+                           batch.traced))
         if batch.traced:
             batch.sent = time.perf_counter()
 
@@ -1687,9 +1852,22 @@ class LocalizationServer:
                     or shard.conn_dead
                 if crashed and not shard.failed and not self._stopping:
                     self._restart_shard(shard)
+                elif shard.outbox:
+                    # Posted by the collector (a pickle re-dispatch); a
+                    # current holder of the send lock writes it anyway.
+                    self._flush(shard, wait=False)
 
     def _restart_shard(self, shard: _Shard) -> None:
-        """Replace a crashed worker and re-dispatch its unfinished batches."""
+        """Replace a crashed worker and re-dispatch its unfinished batches.
+
+        The snapshots and batches for the replacement are posted under
+        the bookkeeping lock and written after it is released."""
+        try:
+            self._replace_worker(shard)
+        finally:
+            self._flush(shard)
+
+    def _replace_worker(self, shard: _Shard) -> None:
         with self._lock:
             if self._stopping or shard.failed:
                 return
@@ -1719,11 +1897,11 @@ class LocalizationServer:
                 shard.process.join(timeout=1.0)
             self._teardown_shard(shard)  # ring kept: re-dispatch data lives there
             self._spawn_worker(shard)
-            # Everything this shard had not finished goes back on its queue,
+            # Everything this shard had not finished goes back on its pipe,
             # behind the fresh load messages — order guarantees the restored
             # sessions exist before the first re-dispatched batch runs.  A
             # shm batch's lease survived the crash (the parent owns the
-            # ring), so only its descriptor is re-minted, stamped with the
+            # ring), so only its record is re-minted, stamped with the
             # replacement worker's generation.
             redispatched = [b for b in self._in_flight.values()
                             if b.shard == shard.index]
@@ -1760,15 +1938,14 @@ class LocalizationServer:
                 if batch.traced:
                     batch.write_started = batch.dispatched
                 if batch.transport == "shm" and batch.lease is not None:
-                    offset, in_shape, out_offset, out_shape = batch.lease
-                    payload = shm_transport.batch_descriptor(
-                        offset, in_shape, out_offset, out_shape,
-                        shard.generation,
-                    )
+                    offset, _in_shape, out_offset, _out_shape = batch.lease
+                    message = shm_transport.batch_record(
+                        batch.id, offset, out_offset, batch.n,
+                        shard.generation, batch.traced, batch.key)
                 else:
-                    payload = batch.images
-                shard.task_queue.put(("batch", batch.id, batch.key, payload,
-                                      batch.traced))
+                    message = ("batch", batch.id, batch.key, batch.images,
+                               batch.traced)
+                self._post(shard, message)
                 if batch.traced:
                     batch.sent = time.perf_counter()
 

@@ -2,19 +2,20 @@
 
 The pickle transport ships every micro-batch across the worker boundary
 twice — ``("batch", id, key, images)`` pickles the float32 image block
-onto the task queue, and the prediction block pickles back over the
-result pipe.  ``BENCH_serving.json`` shows that marshalling as the
+onto the shard's task pipe, and the prediction block pickles back over
+the result pipe.  ``BENCH_serving.json`` shows that marshalling as the
 dominant single-core dispatch overhead.  This module removes it:
 
 * the dispatcher writes each batch's image block straight into a
   per-shard :class:`ShmRing` (one ``multiprocessing.shared_memory``
-  segment per worker) and sends only a small descriptor tuple
-  ``("shm", in_offset, in_shape, out_offset, out_shape, generation)``
-  over the queue;
+  segment per worker) and sends only a fixed ``struct`` record
+  (:func:`batch_record`: batch id, input/output offsets, sample count,
+  generation, traced flag, route key) over the task pipe — no pickle;
 * the worker gathers the batch by offset — the only "copy" is the final
   ``np.ndarray`` view over the ring buffer — writes its logits into the
-  reserved output block, and answers with an equally small result
-  descriptor;
+  reserved output block, and answers with a 9-byte :func:`done_record`
+  (a traced batch answers with a pickled ``done`` that carries its
+  worker-side timing instead);
 * the parent copies the per-request logit slices out of the ring and
   frees the lease, making the block reusable.
 
@@ -36,8 +37,8 @@ Crash safety
 The parent owns every segment: a worker crash cannot unlink a ring, and
 the batch data a crashed worker was holding is still in place, so the
 restart path re-dispatches the *same* lease under the worker's new
-``generation``.  Descriptors are generation-stamped; a worker rejects a
-descriptor minted for a different generation with
+``generation``.  Batch records are generation-stamped; a worker rejects a
+record minted for a different generation with
 :class:`ShmTransportError`, and the parent falls back to re-dispatching
 that batch over pickle — requests are never lost to transport trouble.
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import struct
 from collections import deque
 
 import numpy as np
@@ -75,7 +77,7 @@ MIN_RING_BYTES = 2 << 20
 
 
 class ShmTransportError(RuntimeError):
-    """A shared-memory descriptor could not be honored by the worker.
+    """A shared-memory batch record could not be honored by the worker.
 
     The parent recognizes this error *by name prefix* in the worker's
     error message and re-dispatches the affected batch over the pickle
@@ -287,38 +289,60 @@ class ShmWorkerRing:
             pass
 
 
-# -- descriptors (what actually crosses the queue/pipe) -----------------
-def batch_descriptor(in_offset: int, in_shape, out_offset: int, out_shape,
-                     generation: int) -> tuple:
-    """The task-queue payload replacing a pickled image block."""
-    return ("shm", int(in_offset), tuple(int(d) for d in in_shape),
-            int(out_offset), tuple(int(d) for d in out_shape),
-            int(generation))
+# -- records (what actually crosses the pipes) ---------------------------
+#: First byte of a shm batch record (parent -> worker task pipe).
+BATCH_TAG = b"B"
+#: First byte of an untraced shm ``done`` record (worker -> result pipe).
+DONE_TAG = b"D"
+# A pickled message starts with the PROTO opcode (0x80), so the first byte
+# alone tells a record from a pickle on either pipe.
+#: tag, batch id, input offset, output offset, samples, generation,
+#: traced; the route key follows as UTF-8.
+_BATCH = struct.Struct("<cqQQIIB")
+#: tag, batch id.
+_DONE = struct.Struct("<cq")
 
 
-def result_descriptor(out_offset: int, out_shape, generation: int) -> tuple:
-    """The result-pipe payload replacing a pickled logits block."""
-    return ("shm", int(out_offset), tuple(int(d) for d in out_shape),
-            int(generation))
+def batch_record(batch_id: int, in_offset: int, out_offset: int, n: int,
+                 generation: int, traced: bool, key: str) -> bytes:
+    """The task-pipe message replacing a pickled image block: where the
+    batch's ``n`` samples sit in the ring and where its logits go.  The
+    worker derives both shapes from the route's session."""
+    return _BATCH.pack(BATCH_TAG, batch_id, in_offset, out_offset, n,
+                       generation, traced) + key.encode()
 
 
-def is_descriptor(payload) -> bool:
-    """True when ``payload`` is a shm descriptor rather than an ndarray."""
-    return isinstance(payload, tuple) and len(payload) > 0 \
-        and payload[0] == "shm"
+def read_batch_record(record: bytes) -> tuple:
+    """``(batch_id, in_offset, out_offset, n, generation, traced, key)``."""
+    _tag, batch_id, in_offset, out_offset, n, generation, traced = \
+        _BATCH.unpack_from(record)
+    return (batch_id, in_offset, out_offset, n, generation, bool(traced),
+            record[_BATCH.size:].decode())
 
 
-def open_batch(ring: ShmWorkerRing | None, descriptor: tuple,
-               generation: int) -> tuple[np.ndarray, int, tuple]:
-    """Worker-side gather: validate the descriptor, return the input view
-    plus where the logits go.  Raises :class:`ShmTransportError` on a
-    generation mismatch or a missing ring attach."""
-    _tag, in_offset, in_shape, out_offset, out_shape, desc_gen = descriptor
+def done_record(batch_id: int) -> bytes:
+    """The result-pipe message of an untraced shm batch: its logits are
+    already in the lease's output block."""
+    return _DONE.pack(DONE_TAG, batch_id)
+
+
+def read_done_record(record: bytes) -> int:
+    """The batch id of a :func:`done_record`."""
+    return _DONE.unpack_from(record)[1]
+
+
+def open_batch(ring: ShmWorkerRing | None, in_offset: int, in_shape,
+               out_offset: int, out_shape, stamp: int,
+               generation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Worker-side gather: check the record's generation ``stamp``, then
+    return views of the input block and of the logits block.  Raises
+    :class:`ShmTransportError` on a generation mismatch or a missing ring
+    attach."""
     if ring is None:
         raise ShmTransportError("worker has no ring segment attached")
-    if int(desc_gen) != int(generation):
+    if int(stamp) != int(generation):
         raise ShmTransportError(
-            f"stale descriptor generation {desc_gen} "
+            f"stale record generation {stamp} "
             f"(worker is at generation {generation})"
         )
-    return ring.view(in_offset, in_shape), out_offset, out_shape
+    return ring.view(in_offset, in_shape), ring.view(out_offset, out_shape)

@@ -8,6 +8,7 @@ import socket
 import struct
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.fleet import FleetServer, ModelRegistry
 from repro.infer import InferenceSession
 from repro.serve import LocalizationServer
+from repro.serve.admission import RouteOverloaded
 from repro.serve.gateway import (
     GatewayClient,
     GatewayError,
@@ -788,3 +790,60 @@ class TestGracefulDrain:
             with pytest.raises(OSError):
                 socket.create_connection((gateway.host, gateway.port),
                                          timeout=2.0).recv(1)
+
+
+class _RefusingServer:
+    """Just enough of a LocalizationServer for ``_handle_request``: one
+    known model, and a ``submit`` that raises ``error``."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def route_info(self, model):
+        if model not in (None, "default"):
+            raise ValueError(f"unknown model {model!r}")
+        return {"image_size": IMAGE, "channels": 3, "num_classes": 5}
+
+    def cache_route(self, model):
+        return None
+
+    def submit(self, *_args, **_kwargs):
+        raise self.error
+
+
+class TestResponseAccounting:
+    """``requests_responded`` counts every answer to a received request,
+    errors included, so a drain's responded >= received holds whatever
+    the answers were."""
+
+    GOOD = {"id": 1, "fingerprint": _fingerprint(0).tolist()}
+
+    @pytest.mark.parametrize("kind, obj, error, code", [
+        ("draining", GOOD, None, "draining"),
+        ("bad_request", {"id": 1}, None, "bad_request"),
+        ("unknown_model", {**GOOD, "model": "nope"}, None, "unknown_model"),
+        ("overloaded", GOOD,
+         RouteOverloaded("queue full", model="default", retry_after_s=0.1),
+         "overloaded"),
+        ("server_error", GOOD, RuntimeError("boom"), "server_error"),
+    ])
+    def test_every_error_answer_counts_as_responded(self, kind, obj, error,
+                                                    code):
+        gateway = GatewayServer(_RefusingServer(error), cache_entries=0)
+        gateway._draining = kind == "draining"
+        answers = []
+        gateway._queue_response = lambda _conn, answer: answers.append(answer)
+        conn = types.SimpleNamespace(closed=False, seen_ids=set(),
+                                     inflight=0)
+        gateway._handle_request(conn, dict(obj))
+        assert [a["error"]["code"] for a in answers] == [code]
+        summary = gateway.summary()["requests"]
+        assert summary["received"] == summary["responded"] == 1
+
+    def test_answer_to_a_closed_connection_counts(self):
+        gateway = GatewayServer(_RefusingServer(RuntimeError("boom")),
+                                cache_entries=0)
+        conn = types.SimpleNamespace(closed=True, seen_ids=set(), inflight=0)
+        gateway._handle_request(conn, dict(self.GOOD))
+        summary = gateway.summary()["requests"]
+        assert summary["received"] == summary["responded"] == 1

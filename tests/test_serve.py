@@ -2,7 +2,11 @@
 crash recovery.  The end-to-end tests use a deliberately tiny model so the
 whole file runs in a few seconds on one core."""
 
+import os
+import signal
+import threading
 import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.serve import (
     ShardStats,
 )
 from repro.serve.bench import run_fault_tolerance_drill
+from repro.serve.shm import ALIGNMENT
 from repro.vit import VitalConfig, VitalModel
 
 
@@ -264,3 +269,149 @@ class TestServerEndToEnd:
         assert sum(shard["restarts"] for shard in stats["shards"]) >= 1
         # Each restart re-ships the snapshot: 2 initial seeds + >= 1 restart.
         assert stats["snapshot"]["shipped"] >= 3
+
+
+class TestProcessBoundary:
+    """Task pipes instead of queues, and dispatch on the submitting
+    thread when a shard is idle."""
+
+    def test_one_task_pipe_per_shard_and_no_feeder_thread(self, session,
+                                                           images):
+        with LocalizationServer(session, workers=2,
+                                max_delay_ms=1.0) as server:
+            server.predict_many(images, timeout=30.0)
+            names = [thread.name for thread in threading.enumerate()]
+            pipes = [shard.task_conn for shard in server._shards]
+        assert not [name for name in names if "QueueFeeder" in name]
+        assert all(isinstance(pipe, Connection) for pipe in pipes)
+        assert pipes[0] is not pipes[1]
+
+    def test_lone_request_dispatches_without_waking_the_dispatcher(
+            self, session, images):
+        with LocalizationServer(session, workers=1,
+                                max_delay_ms=5000.0) as server:
+            dispatched_on, notified = [], []
+            dispatch, notify = server._dispatch, server._cond.notify
+
+            def spy_dispatch(key, requests):
+                dispatched_on.append(threading.current_thread())
+                dispatch(key, requests)
+
+            def spy_notify(*args):
+                notified.append(args)
+                notify(*args)
+
+            server._dispatch = spy_dispatch
+            server._cond.notify = spy_notify
+            for i in range(3):
+                np.testing.assert_array_equal(
+                    server.result(server.submit(images[i]), timeout=10.0),
+                    session.predict_many(images[i : i + 1]))
+            assert notified == []  # the dispatcher was never woken
+        assert dispatched_on == [threading.current_thread()] * 3
+
+    def test_drain_close_answers_a_burst_of_inline_submits(self, session,
+                                                           images):
+        server = LocalizationServer(session, workers=2,
+                                    max_delay_ms=1.0).start()
+        accepted, refused = [], []
+        go = threading.Barrier(5)
+
+        def client(offset):
+            go.wait()
+            for i in range(200):
+                try:
+                    accepted.append(server.submit(
+                        images[(offset + i) % len(images)]))
+                except RuntimeError:
+                    refused.append(offset)
+                    return
+
+        clients = [threading.Thread(target=client, args=(k,))
+                   for k in range(4)]
+        for thread in clients:
+            thread.start()
+        go.wait()
+        time.sleep(0.02)  # close while the burst is being submitted
+        server.close(drain=True)
+        for thread in clients:
+            thread.join(timeout=10.0)
+        outcomes = {"ok": 0, "failed": 0}
+        for request_id in accepted:
+            try:
+                server.result(request_id, timeout=5.0)  # never times out
+                outcomes["ok"] += 1
+            except RuntimeError as error:
+                assert "server closed" in str(error)
+                outcomes["failed"] += 1
+        assert outcomes["ok"] + outcomes["failed"] == len(accepted)
+        assert outcomes["ok"] > 0
+        stats = server.stats()["requests"]
+        assert stats["completed"] + stats["failed"] == stats["submitted"]
+
+    def test_route_to_model_lookup_never_takes_the_bookkeeping_lock(
+            self, session):
+        """The monitor's shed update resolves route keys to models while
+        holding _cond; every dispatch takes _cond while holding _lock, so
+        the lookup must not wait for _lock."""
+        server = LocalizationServer(session, workers=1)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with server._lock:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        held.wait(5.0)
+        try:
+            found = []
+            lookup = threading.Thread(
+                target=lambda: found.append(server._model_for_key("default")),
+                daemon=True)
+            lookup.start()
+            lookup.join(timeout=2.0)
+            assert found == ["default"]
+        finally:
+            release.set()
+            holder.join(timeout=5.0)
+
+    def test_restart_resends_more_than_a_pipe_of_spilled_batches(
+            self, session, images):
+        """A tiny ring spills every batch to pickle (13.8 KB each); with
+        the worker stopped, more than a 64 KB pipe of them is in flight
+        when it is killed.  The restart writes them all again outside the
+        bookkeeping lock, so nothing deadlocks and nothing is lost."""
+        blocks = [np.roll(images, k, axis=0)[:8] for k in range(12)]
+        reference = [session.predict_many(block) for block in blocks]
+        outcome = {}
+
+        def drill():
+            with LocalizationServer(session, workers=1, max_batch=8,
+                                    max_delay_ms=1.0, ring_bytes=ALIGNMENT,
+                                    spill_wait_ms=1.0,
+                                    health_interval_s=0.05) as server:
+                pid = server._shards[0].process.pid
+                os.kill(pid, signal.SIGSTOP)
+                ids = [server.submit(block) for block in blocks]
+                deadline = time.monotonic() + 10.0
+                while server.stats()["in_flight_batches"] * blocks[0].nbytes \
+                        <= 64 * 1024:
+                    assert time.monotonic() < deadline, "pipe never filled"
+                    time.sleep(0.01)
+                os.kill(pid, signal.SIGKILL)
+                outcome["results"] = [server.result(i, timeout=30.0)
+                                      for i in ids]
+                outcome["stats"] = server.stats()
+
+        runner = threading.Thread(target=drill, daemon=True)
+        runner.start()
+        runner.join(timeout=90.0)
+        assert not runner.is_alive(), "restart deadlocked"
+        for served, expected in zip(outcome["results"], reference):
+            np.testing.assert_array_equal(served, expected)
+        stats = outcome["stats"]
+        assert stats["requests"]["failed"] == 0
+        assert stats["shards"][0]["restarts"] == 1
+        assert stats["transport"]["shm_batches"] == 0

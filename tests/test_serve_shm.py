@@ -5,6 +5,7 @@ teardown idempotence.  End-to-end tests reuse the tiny model from
 test_serve so the file stays fast on one core."""
 
 import os
+import pickle
 import signal
 import time
 
@@ -15,15 +16,19 @@ from repro.infer import InferenceSession
 from repro.serve import LocalizationServer
 from repro.serve.shm import (
     ALIGNMENT,
+    BATCH_TAG,
+    DONE_TAG,
     HAVE_SHM,
     RingAllocator,
     ShmRing,
     ShmTransportError,
     ShmWorkerRing,
     align,
-    batch_descriptor,
-    is_descriptor,
+    batch_record,
+    done_record,
     open_batch,
+    read_batch_record,
+    read_done_record,
 )
 from repro.vit import VitalConfig, VitalModel
 
@@ -185,22 +190,29 @@ class TestShmRingSegment:
 
 
 class TestDescriptors:
+    """The fixed records that carry a shm batch over the task pipe and an
+    untraced ``done`` back over the result pipe."""
+
     def test_descriptor_shape_and_detection(self):
-        desc = batch_descriptor(64, (4, 12, 12, 3), 7040, (4, 5), 3)
-        assert is_descriptor(desc)
-        assert not is_descriptor(np.zeros((2, 2), dtype=np.float32))
-        assert not is_descriptor(())
-        assert desc[1] == 64 and desc[-1] == 3
+        record = batch_record(7, 64, 7040, 4, 3, True, "m@v2")
+        assert record[:1] == BATCH_TAG
+        assert read_batch_record(record) == (7, 64, 7040, 4, 3, True, "m@v2")
+        done = done_record(2**40)
+        assert done[:1] == DONE_TAG and len(done) == 9
+        assert read_done_record(done) == 2**40
+        # A pickled message can never be mistaken for a record.
+        for message in (("stop",), ("done", 1, None, 0.0, None)):
+            assert pickle.dumps(message)[:1] not in (BATCH_TAG, DONE_TAG)
 
     def test_generation_mismatch_rejected(self):
-        desc = batch_descriptor(0, (1, 12, 12, 3), 1792, (1, 5), generation=2)
-        with pytest.raises(ShmTransportError, match="stale descriptor"):
-            open_batch(object(), desc, generation=3)
+        with pytest.raises(ShmTransportError, match="stale record"):
+            open_batch(object(), 0, (1, 12, 12, 3), 1792, (1, 5), 2,
+                       generation=3)
 
     def test_missing_ring_rejected(self):
-        desc = batch_descriptor(0, (1, 12, 12, 3), 1792, (1, 5), generation=1)
         with pytest.raises(ShmTransportError, match="no ring"):
-            open_batch(None, desc, generation=1)
+            open_batch(None, 0, (1, 12, 12, 3), 1792, (1, 5), 1,
+                       generation=1)
 
 
 @needs_shm
@@ -300,6 +312,46 @@ class TestServerShmTransport:
         assert stats["requests"]["failed"] == 0
         for ring in transport["rings"]:
             assert ring["live_leases"] == 0  # rejected leases were freed
+
+    def test_worker_answers_a_stale_record_with_a_transport_error(
+            self, session, images):
+        """Straight through ``_worker_main``'s pipes: a record stamped with
+        another generation comes back as ``ShmTransportError`` (the
+        parent's cue to re-dispatch over pickle); a current one is served
+        into the ring and answered with a done record."""
+        import multiprocessing
+        import threading
+
+        from repro.serve.server import _worker_main
+
+        ring = ShmRing(capacity=1 << 16)
+        task_recv, task_send = multiprocessing.Pipe(duplex=False)
+        result_recv, result_send = multiprocessing.Pipe(duplex=False)
+        worker = threading.Thread(target=_worker_main, daemon=True,
+                                  args=(0, task_recv, result_send, ring.name,
+                                        4))
+        worker.start()
+        try:
+            task_send.send(("load", "m", session.snapshot()))
+            assert result_recv.recv() == ("loaded", 0, "m")
+            x = images[:2]
+            out_offset = align(x.nbytes)
+            ring.view(0, x.shape)[:] = x
+            task_send.send_bytes(batch_record(5, 0, out_offset, 2, 3, False,
+                                              "m"))
+            kind, batch_id, text = result_recv.recv()
+            assert (kind, batch_id) == ("error", 5)
+            assert text.startswith("ShmTransportError")
+            task_send.send_bytes(batch_record(6, 0, out_offset, 2, 4, False,
+                                              "m"))
+            assert read_done_record(result_recv.recv_bytes()) == 6
+            np.testing.assert_array_equal(ring.view(out_offset, (2, 5)),
+                                          session.predict_many(x))
+            task_send.send(("stop",))
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+        finally:
+            ring.close()
 
     def test_worker_crash_reclaims_leases_and_loses_nothing(self, session, images):
         from repro.serve.bench import run_fault_tolerance_drill
