@@ -390,8 +390,7 @@ class InferenceSession:
 
         The snapshot holds only the flat float32 weight arrays, the gather
         grid and the geometry — no scratch buffers, no model, no tape — so
-        it is cheap to ship over a ``multiprocessing`` pipe/queue to
-        serving workers.  The arrays are shared, not copied (zero-copy
+        it is cheap to ship over a serving worker's task pipe.  The arrays are shared, not copied (zero-copy
         handoff under ``fork``; pickled once under ``spawn``).
         """
         return {"format": SNAPSHOT_FORMAT, "state": self.__getstate__()}
@@ -526,7 +525,7 @@ def restore_session(snapshot: dict) -> "InferenceSession":
     :class:`LocalizationServer` can be seeded with either a plain
     :meth:`InferenceSession.snapshot` or a
     :meth:`repro.quant.QuantizedSession.snapshot` (int8 codes, ~4x fewer
-    bytes over the ``multiprocessing`` queues).
+    bytes over the workers' task pipes).
     """
     fmt = snapshot.get("format") if isinstance(snapshot, dict) else None
     if fmt == SNAPSHOT_FORMAT:

@@ -243,7 +243,7 @@ class QuantizedSession(InferenceSession):
 
         ~4x fewer pickled bytes than the float32
         :meth:`InferenceSession.snapshot`, which is exactly what crosses
-        the ``multiprocessing`` queues when a
+        a worker's task pipe when a
         :class:`repro.serve.LocalizationServer` seeds its workers.
         """
         return {

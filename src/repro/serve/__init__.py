@@ -5,14 +5,15 @@ arrays — no tape, no closures), this package turns the compiled engine
 into an online serving system:
 
 * :class:`LocalizationServer` — forks N worker processes, each restoring
-  a session from a snapshot shipped over a ``multiprocessing`` queue;
+  a session from a snapshot shipped over its task pipe;
   fronted by a request queue, an adaptive micro-batcher
   (:class:`AdaptiveBatchPolicy`) and least-loaded shard routing, with
   health-checked workers that restart on crash without losing requests.
 * :mod:`repro.serve.shm` — the zero-copy shared-memory batch transport:
-  per-shard ring segments carry the float32 image/logit blocks while
-  only small ``(offset, shape, generation)`` descriptors cross the
-  queues; full rings backpressure then spill to pickle, never drop.
+  per-shard rings (anonymous shared mappings, no ``/dev/shm`` name) carry
+  the float32 image/logit blocks while only small fixed records (offsets,
+  sample count, generation) cross the task and result pipes; full rings
+  backpressure then spill to pickle, never drop.
 * :mod:`repro.serve.stats` — per-shard counters, batch-size histograms,
   transport/ring-occupancy counters and latency reservoirs surfaced by
   ``LocalizationServer.stats()`` — all built on the unified

@@ -15,7 +15,6 @@ interop checks against the same port.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
@@ -193,6 +192,10 @@ def http_localize(host: str, port: int, fingerprint,
                   model: str | None = None, timeout: float = 30.0) -> dict:
     """One HTTP/1.1 ``POST /localize`` against the gateway (the wire shape
     snippet-3 devices speak); returns the decoded JSON response."""
+    # Imported here, its only use: a serving host then never loads
+    # http.client (with ssl and email behind it) into every worker.
+    import http.client
+
     payload = {"fingerprint":
                np.asarray(fingerprint, dtype=np.float32).ravel().tolist()}
     if model is not None:

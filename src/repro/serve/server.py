@@ -34,20 +34,23 @@ Architecture::
 * Batch payloads default to the **zero-copy shared-memory transport**
   (:mod:`repro.serve.shm`): the dispatching thread writes each
   micro-batch's float32 image block straight into the target shard's
-  ring segment and sends only a fixed ``struct`` record (offsets, sample
-  count, generation) over the task pipe; the worker gathers by offset,
-  writes its logits into the lease's reserved output block and answers
-  with a 9-byte record.  A full ring applies backpressure (bounded wait,
-  then a per-batch *spill* to the pickle transport — never a drop), and
-  hosts without ``multiprocessing.shared_memory`` fall back to pickle
-  wholesale.
+  ring (an anonymous shared mapping the worker inherits or receives as a
+  file descriptor) and sends only a fixed ``struct`` record (offsets,
+  sample count, generation) over the task pipe; the worker gathers by
+  offset, writes its logits into the lease's reserved output block and
+  answers with a 9-byte record.  A full ring applies backpressure
+  (bounded wait, then a per-batch *spill* to the pickle transport —
+  never a drop), and hosts without ``os.memfd_create`` fall back to
+  pickle wholesale.
 * Task-pipe messages are posted under the bookkeeping lock and written
   after it is released, by whichever thread holds the shard's send lock
   (:meth:`LocalizationServer._flush`): a pipe write blocks while the pipe
   is full, and the worker only empties it while the collector can take
   the lock to read its results.
 * Results travel over per-worker pipes (single writer each), so a worker
-  dying mid-write can never corrupt another shard's channel.
+  dying mid-write can never corrupt another shard's channel.  A worker
+  holds no parent-side end of its own pipes, so if the parent dies the
+  worker reads EOF and exits (and with it the last mapping of its ring).
 * A monitor thread health-checks the workers and restarts crashed ones;
   a restarted worker is re-seeded with *every* currently loaded snapshot
   and every dispatched-but-unfinished batch is tracked in ``_in_flight``
@@ -107,9 +110,18 @@ _PipeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 def _worker_main(worker_id: int, task_conn, result_conn,
-                 ring_name: str | None = None, generation: int = 0,
-                 profile: bool = False) -> None:
+                 ring: shm_transport.ShmRing | None = None,
+                 generation: int = 0, profile: bool = False,
+                 parent_ends=()) -> None:
     """Worker process loop: restore sessions on demand, serve batches.
+
+    ``parent_ends`` are the parent's own ends of this worker's pipes (its
+    task writer and result reader).  A forked worker inherits them, and
+    while it holds the task writer its task pipe never reads EOF, so it
+    closes them first: once the parent dies, the worker reads EOF and
+    exits instead of outliving it.  ``ring`` is the shard's
+    :class:`~repro.serve.shm.ShmRing` (``None`` under the pickle
+    transport).
 
     Task pipe (parent → worker), read one message at a time:
 
@@ -117,9 +129,9 @@ def _worker_main(worker_id: int, task_conn, result_conn,
       (:func:`repro.serve.shm.batch_record`: batch id, input/output ring
       offsets, sample count, generation, traced flag, route key).  The
       shapes come from the route's session; a record stamped with
-      another ``generation`` (or a failed ring attach) is reported as
-      :class:`~repro.serve.shm.ShmTransportError`, so the parent
-      re-dispatches the batch over pickle instead of failing it;
+      another ``generation`` (or sent to a worker without a ring) is
+      reported as :class:`~repro.serve.shm.ShmTransportError`, so the
+      parent re-dispatches the batch over pickle instead of failing it;
     * everything else is pickled: ``("load", key, snapshot)``,
       ``("unload", key)``, ``("batch", batch_id, key, images, traced)``
       (the pickle transport) and ``("stop",)``.
@@ -141,21 +153,14 @@ def _worker_main(worker_id: int, task_conn, result_conn,
     ``phases`` carries the per-phase compute breakdown of the batch
     (``None`` otherwise).
     """
+    for conn in parent_ends:
+        conn.close()
     try:
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ImportError, ValueError, OSError):
         pass
-
-    ring = None
-    if ring_name is not None:
-        try:
-            # No untrack: an mp child shares the parent's resource
-            # tracker, so the attach-register is an idempotent no-op.
-            ring = shm_transport.ShmWorkerRing(ring_name)
-        except Exception:  # serve on — shm batches fall back to pickle
-            ring = None
 
     sessions: dict[str, InferenceSession] = {}
     try:
@@ -186,8 +191,6 @@ def _worker_main(worker_id: int, task_conn, result_conn,
                     sessions.pop(message[1], None)
                     continue
                 if kind == "stop":
-                    if ring is not None:
-                        ring.close()
                     return
                 _, batch_id, key, images, traced = message  # "batch"
             recv = time.perf_counter() if traced else 0.0
@@ -311,7 +314,7 @@ class _Shard:
         self.stats = ShardStats()
         self.failed = False  # exceeded the restart budget
         self.conn_dead = False  # EOF seen; awaiting monitor restart
-        self.ring = None  # parent-owned ShmRing; survives restarts
+        self.ring = None  # parent-held ShmRing; survives restarts
         self.generation = 0  # bumped per (re)spawn; stamps batch records
 
 
@@ -345,10 +348,10 @@ class LocalizationServer:
         shared-memory rings (:mod:`repro.serve.shm`) and only small
         fixed records through the task pipes; ``"pickle"`` ships the
         ndarrays themselves.  ``"shm"`` silently degrades to ``"pickle"`` on
-        platforms without ``multiprocessing.shared_memory`` (the reason
+        platforms without ``os.memfd_create`` (the reason
         is surfaced under ``stats()["transport"]["fallback_reason"]``).
     ring_bytes:
-        Per-shard ring segment size; default sizes ``ring_slots`` full
+        Per-shard ring size; default sizes ``ring_slots`` full
         batches of the largest loaded model geometry (floor 2 MiB).
     spill_wait_ms:
         How long a dispatch may block on a full ring before spilling the
@@ -450,7 +453,7 @@ class LocalizationServer:
         if transport == "shm" and not shm_transport.HAVE_SHM:
             transport = "pickle"
             self._transport_fallback = (
-                "multiprocessing.shared_memory unavailable on this platform"
+                "os.memfd_create unavailable on this platform"
             )
         self.transport = transport
         self.ring_bytes = None if ring_bytes is None else int(ring_bytes)
@@ -710,19 +713,18 @@ class LocalizationServer:
         every currently loaded snapshot to it (the caller flushes them
         once it has released the bookkeeping lock).
 
-        The shard's ring segment is created once and *survives* restarts
-        (the parent owns it, and re-dispatched batch data lives in it);
+        The shard's ring is created once and *survives* restarts (the
+        parent holds it, and re-dispatched batch data lives in it);
         each spawn bumps the shard generation, so batch records minted for
         a dead worker can never be honored by its replacement without
         being re-stamped."""
         if self.transport == "shm" and shard.ring is None:
             try:
                 shard.ring = shm_transport.ShmRing(self._ring_capacity())
-            except Exception as error:  # /dev/shm missing or full
+            except Exception as error:  # out of memory or descriptors
                 self.transport = "pickle"
                 self._transport_fallback = (
-                    f"ring segment creation failed: "
-                    f"{type(error).__name__}: {error}"
+                    f"ring creation failed: {type(error).__name__}: {error}"
                 )
         shard.generation += 1
         task_recv, shard.task_conn = self._ctx.Pipe(duplex=False)
@@ -745,9 +747,9 @@ class LocalizationServer:
         shard.load_failures = {}
         shard.process = self._ctx.Process(
             target=_worker_main,
-            args=(shard.index, task_recv, send_conn,
-                  shard.ring.name if shard.ring is not None else None,
-                  shard.generation, self.profile),
+            args=(shard.index, task_recv, send_conn, shard.ring,
+                  shard.generation, self.profile,
+                  (shard.task_conn, receive_conn)),
             name=f"repro-serve-worker-{shard.index}",
             daemon=True,
         )
@@ -805,7 +807,7 @@ class LocalizationServer:
                 if process.is_alive():  # SIGSTOPped: SIGTERM stays pending
                     process.kill()
                     process.join(timeout=1.0)
-            self._teardown_shard(shard, unlink_ring=True)
+            self._teardown_shard(shard, close_ring=True)
             self._flush(shard)  # the worker is gone: closes the task pipe
         self._fail_outstanding("server closed")
         if self.monitor is not None:
@@ -814,7 +816,7 @@ class LocalizationServer:
                                 failed=self._failed)
             self.monitor.stop()
 
-    def _teardown_shard(self, shard: _Shard, unlink_ring: bool = False) -> None:
+    def _teardown_shard(self, shard: _Shard, close_ring: bool = False) -> None:
         """Idempotently release a shard's IPC resources.
 
         Shared by the stop path (:meth:`close`) and the failure path
@@ -824,10 +826,10 @@ class LocalizationServer:
         pipe are dropped (a restart re-seeds the snapshots and re-sends
         every in-flight batch), and the pipe itself is closed by the next
         :meth:`_flush`, under the send lock, so no writer can be midway
-        through it.  The ring segment is parent-owned state that must
-        *survive* restarts (re-dispatched batch data lives in it), so it
-        is only unlinked when ``unlink_ring`` is set — the shutdown path —
-        and that too exactly once
+        through it.  The ring is parent-held state that must *survive*
+        restarts (re-dispatched batch data lives in it), so it is only
+        released when ``close_ring`` is set — the shutdown path — and
+        that too exactly once
         (:meth:`repro.serve.shm.ShmRing.close` is itself idempotent)."""
         shard.outbox.clear()
         if shard.task_conn is not None:
@@ -840,8 +842,8 @@ class LocalizationServer:
                 pass
             shard.result_conn = None
             self._conn_epoch += 1
-        if unlink_ring and shard.ring is not None:
-            shard.ring.close(unlink=True)
+        if close_ring and shard.ring is not None:
+            shard.ring.close()
             shard.ring = None
 
     # -- task pipes ----------------------------------------------------
@@ -1733,10 +1735,11 @@ class LocalizationServer:
                 if batch.transport == "shm" \
                         and text.startswith("ShmTransportError") \
                         and not self._stopping:
-                    # The *transport* failed (stale generation, lost ring
-                    # attach), not the model: recover the batch data from
-                    # the parent-owned ring and re-dispatch over pickle —
-                    # requests must never be lost to transport trouble.
+                    # The *transport* failed (stale generation, a worker
+                    # without a ring), not the model: recover the batch
+                    # data from the parent's ring and re-dispatch over
+                    # pickle — requests must never be lost to transport
+                    # trouble.
                     self._redispatch_as_pickle(batch, current)
                     return
                 self._free_lease(batch)

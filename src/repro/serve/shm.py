@@ -7,8 +7,8 @@ the result pipe.  ``BENCH_serving.json`` shows that marshalling as the
 dominant single-core dispatch overhead.  This module removes it:
 
 * the dispatcher writes each batch's image block straight into a
-  per-shard :class:`ShmRing` (one ``multiprocessing.shared_memory``
-  segment per worker) and sends only a fixed ``struct`` record
+  per-shard :class:`ShmRing` (one anonymous shared mapping per worker:
+  ``os.memfd_create`` + ``mmap``) and sends only a fixed ``struct`` record
   (:func:`batch_record`: batch id, input/output offsets, sample count,
   generation, traced flag, route key) over the task pipe — no pickle;
 * the worker gathers the batch by offset — the only "copy" is the final
@@ -18,6 +18,13 @@ dominant single-core dispatch overhead.  This module removes it:
   worker-side timing instead);
 * the parent copies the per-request logit slices out of the ring and
   frees the lease, making the block reusable.
+
+A ring has no name.  The parent creates it once per shard, and each
+worker receives the same :class:`ShmRing` object: under ``fork`` it
+inherits the mapping and its file descriptor; under ``spawn`` and
+``forkserver`` the object is pickled the way a ``Connection`` is — a
+reducer registered with :mod:`multiprocessing.reduction` wraps the
+descriptor in ``DupFd`` and the child maps it again.
 
 Ring discipline
 ---------------
@@ -34,44 +41,42 @@ degrades throughput, never correctness.
 
 Crash safety
 ------------
-The parent owns every segment: a worker crash cannot unlink a ring, and
-the batch data a crashed worker was holding is still in place, so the
-restart path re-dispatches the *same* lease under the worker's new
-``generation``.  Batch records are generation-stamped; a worker rejects a
-record minted for a different generation with
+The parent holds every ring for the server's lifetime: a worker crash
+cannot take one away, and the batch data a crashed worker was holding is
+still in place, so the restart path re-dispatches the *same* lease under
+the worker's new ``generation``.  Batch records are generation-stamped; a
+worker rejects a record minted for a different generation with
 :class:`ShmTransportError`, and the parent falls back to re-dispatching
 that batch over pickle — requests are never lost to transport trouble.
+Cleanup after a crash is the kernel's: a ring's memory goes with the last
+process that maps it or holds its descriptor, and there is no
+``/dev/shm`` name to leak, so no resource-tracker process is needed.
 
-Platforms without ``multiprocessing.shared_memory`` (or without a
-functional ``/dev/shm``) are detected at import: :data:`HAVE_SHM` is
-False and :class:`repro.serve.LocalizationServer` silently serves over
-the pickle transport instead.
+Platforms without ``os.memfd_create`` are detected at import:
+:data:`HAVE_SHM` is False and :class:`repro.serve.LocalizationServer`
+silently serves over the pickle transport instead.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import secrets
 import struct
 from collections import deque
+from multiprocessing import reduction
 
 import numpy as np
 
 from repro.serve.stats import RingCounters
 
-try:  # pragma: no cover - platform probe
-    from multiprocessing import shared_memory as _shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover - platform without _posixshmem
-    _shared_memory = None
-    HAVE_SHM = False
+#: What a ring needs: an anonymous shared mapping (``os.memfd_create``).
+HAVE_SHM = hasattr(os, "memfd_create")
 
 #: Byte alignment of every ring allocation (keeps float32 views aligned
 #: and offsets cache-line friendly).
 ALIGNMENT = 64
 
-#: Floor on an auto-sized ring segment (2 MiB ≈ 9 default-geometry
+#: Floor on an auto-sized ring (2 MiB ≈ 9 default-geometry
 #: batches) so even an empty multi-tenant server starts with usable rings.
 MIN_RING_BYTES = 2 << 20
 
@@ -185,30 +190,32 @@ class RingAllocator:
 
 
 class ShmRing:
-    """Parent-side owner of one shared-memory ring segment.
+    """One shard's ring: an anonymous shared mapping plus its allocator.
 
-    Creates (and eventually unlinks) the segment; hands out leases via
-    an embedded :class:`RingAllocator` and materializes ``np.ndarray``
-    views at lease offsets.  One instance per worker shard; the segment
-    survives worker restarts — only :meth:`close` unlinks it.
+    The parent creates it (``memfd_create`` + ``mmap``), hands out leases
+    via the embedded :class:`RingAllocator` and materializes
+    ``np.ndarray`` views at lease offsets.  One instance per worker shard;
+    it survives worker restarts, and each worker receives it as described
+    in the module docstring (the worker only calls :meth:`view`).
     """
 
-    def __init__(self, capacity: int, name: str | None = None,
-                 counters: RingCounters | None = None):
+    def __init__(self, capacity: int, counters: RingCounters | None = None):
         if not HAVE_SHM:
             raise ShmTransportError(
-                "multiprocessing.shared_memory is unavailable on this platform"
+                "os.memfd_create is unavailable on this platform"
             )
-        capacity = align(capacity)
-        if name is None:
-            name = f"repro-ring-{os.getpid()}-{secrets.token_hex(4)}"
-        self._shm = _shared_memory.SharedMemory(
-            create=True, name=name, size=capacity
-        )
-        self.name = self._shm.name
-        # The OS may round the segment up (page granularity): use it all.
-        self.allocator = RingAllocator(max(capacity, self._shm.size),
-                                       counters=counters)
+        self.allocator = RingAllocator(align(capacity), counters=counters)
+        fd = os.memfd_create("repro-ring", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(fd, self.capacity)
+            self._map(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+
+    def _map(self, fd: int) -> None:
+        self._fd = fd
+        self._buf = mmap.mmap(fd, self.capacity)
         self._closed = False
 
     @property
@@ -223,26 +230,23 @@ class ShmRing:
 
     def view(self, offset: int, shape, dtype=np.float32) -> np.ndarray:
         """A zero-copy ndarray over ``shape`` at ``offset``."""
-        return np.ndarray(shape, dtype=dtype, buffer=self._shm.buf,
+        return np.ndarray(shape, dtype=dtype, buffer=self._buf,
                           offset=offset)
 
     def stats(self) -> dict:
-        return {"name": self.name, **self.allocator.stats()}
+        return self.allocator.stats()
 
-    def close(self, unlink: bool = True) -> None:
-        """Release the mapping and (once) unlink the segment; idempotent."""
+    def close(self) -> None:
+        """Release this process's mapping and descriptor; idempotent.  The
+        memory itself goes once no process maps it or holds it open."""
         if self._closed:
             return
         self._closed = True
         try:
-            self._shm.close()
-        except BufferError:  # a stray view still pinned the mmap
+            self._buf.close()
+        except BufferError:  # a stray view still pins the mapping
             pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+        os.close(self._fd)
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:
@@ -251,42 +255,18 @@ class ShmRing:
             pass
 
 
-class ShmWorkerRing:
-    """Worker-side attach to a parent-owned ring segment.
+def _reduce_ring(ring: ShmRing):
+    return _rebuild_ring, (reduction.DupFd(ring._fd), ring.capacity)
 
-    A ``multiprocessing`` child worker — ``fork`` *and* ``spawn`` alike —
-    shares the parent's resource tracker (spawn hands the tracker fd down
-    in its preparation data), so the attach-register here is an
-    idempotent no-op and must be left alone: un-registering would erase
-    the *parent's* registration and the tracker would splutter when the
-    parent unlinks.  ``untrack=True`` is for attaching from an unrelated
-    process with its own tracker, which would otherwise unlink the
-    owner's live segment when it exits (bpo-38119).
-    """
 
-    def __init__(self, name: str, untrack: bool = False):
-        if not HAVE_SHM:
-            raise ShmTransportError(
-                "multiprocessing.shared_memory is unavailable on this platform"
-            )
-        self._shm = _shared_memory.SharedMemory(name=name)
-        if untrack:
-            try:
-                from multiprocessing import resource_tracker
+def _rebuild_ring(dup_fd, capacity: int) -> ShmRing:
+    ring = ShmRing.__new__(ShmRing)
+    ring.allocator = RingAllocator(capacity)  # unused: the parent allocates
+    ring._map(dup_fd.detach())
+    return ring
 
-                resource_tracker.unregister(self._shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
 
-    def view(self, offset: int, shape, dtype=np.float32) -> np.ndarray:
-        return np.ndarray(shape, dtype=dtype, buffer=self._shm.buf,
-                          offset=offset)
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover
-            pass
+reduction.register(ShmRing, _reduce_ring)
 
 
 # -- records (what actually crosses the pipes) ---------------------------
@@ -331,15 +311,15 @@ def read_done_record(record: bytes) -> int:
     return _DONE.unpack_from(record)[1]
 
 
-def open_batch(ring: ShmWorkerRing | None, in_offset: int, in_shape,
+def open_batch(ring: ShmRing | None, in_offset: int, in_shape,
                out_offset: int, out_shape, stamp: int,
                generation: int) -> tuple[np.ndarray, np.ndarray]:
     """Worker-side gather: check the record's generation ``stamp``, then
     return views of the input block and of the logits block.  Raises
-    :class:`ShmTransportError` on a generation mismatch or a missing ring
-    attach."""
+    :class:`ShmTransportError` on a generation mismatch or when the worker
+    was started without a ring."""
     if ring is None:
-        raise ShmTransportError("worker has no ring segment attached")
+        raise ShmTransportError("worker has no ring")
     if int(stamp) != int(generation):
         raise ShmTransportError(
             f"stale record generation {stamp} "

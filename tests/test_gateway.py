@@ -4,11 +4,15 @@ hygiene and fleet swap invalidation.  Tiny models throughout so the
 whole file runs in seconds."""
 
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,45 @@ class TestGatewayEndToEnd:
             assert json.loads(reply.read())["status"] == "serving"
         finally:
             conn.close()
+
+    def test_serving_imports_do_not_load_http_client(self):
+        """In a fresh interpreter the serving imports leave ``http.client``
+        (and ``ssl`` and ``email`` behind it) unloaded, so no worker of a
+        serving host carries it; ``http_localize`` loads it itself."""
+        script = """
+import json, sys
+import numpy as np
+from repro.serve import GatewayServer, LocalizationServer
+assert "http.client" not in sys.modules, "serving imported http.client"
+from repro.infer import InferenceSession
+from repro.serve import http_localize
+from repro.vit import VitalConfig, VitalModel
+config = VitalConfig(image_size=12, patch_size=3, projection_dim=24,
+                     num_heads=4, encoder_blocks=1,
+                     encoder_mlp_units=(32, 16), head_units=(32,))
+model = VitalModel(config, image_size=12, channels=3, num_classes=5,
+                   rng=np.random.default_rng(0))
+model.eval()
+session = InferenceSession(model, max_batch=8)
+fingerprint = np.linspace(-90.0, -30.0, 432, dtype=np.float32)
+with LocalizationServer(session, workers=1, max_delay_ms=1.0) as server:
+    gateway = GatewayServer(server).start()
+    try:
+        response = http_localize(gateway.host, gateway.port, fingerprint)
+    finally:
+        gateway.close()
+expected = session.predict_many(fingerprint.reshape(1, 12, 12, 3))[0]
+print(json.dumps({"ok": response["ok"],
+                  "close": bool(np.allclose(response["logits"], expected,
+                                            rtol=1e-6))}))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"ok": True,
+                                                            "close": True}
 
     def test_http_error_statuses(self, stack):
         _server, gateway = stack

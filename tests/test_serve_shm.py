@@ -1,13 +1,19 @@
 """Shared-memory batch transport: ring allocator edge cases (wraparound,
-FIFO reclaim, out-of-order frees), server-level backpressure/spill,
-descriptor-generation safety after worker restarts, transport parity and
-teardown idempotence.  End-to-end tests reuse the tiny model from
-test_serve so the file stays fast on one core."""
+FIFO reclaim, out-of-order frees), the anonymous ring mapping under fork
+and spawn, server-level backpressure/spill, descriptor-generation safety
+after worker restarts, transport parity, teardown idempotence, and the
+lifetime of a serving host's processes.  End-to-end tests reuse the tiny
+model from test_serve so the file stays fast on one core."""
 
+import json
+import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +28,6 @@ from repro.serve.shm import (
     RingAllocator,
     ShmRing,
     ShmTransportError,
-    ShmWorkerRing,
     align,
     batch_record,
     done_record,
@@ -33,8 +38,54 @@ from repro.serve.shm import (
 from repro.vit import VitalConfig, VitalModel
 
 needs_shm = pytest.mark.skipif(
-    not HAVE_SHM, reason="multiprocessing.shared_memory unavailable"
+    not HAVE_SHM, reason="os.memfd_create unavailable"
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Preamble of the fresh-interpreter scripts below: the same tiny model.
+TINY_SERVER = """
+import json, os, sys, time
+from pathlib import Path
+import numpy as np
+from repro.infer import InferenceSession
+from repro.serve import LocalizationServer
+from repro.vit import VitalConfig, VitalModel
+config = VitalConfig(image_size=12, patch_size=3, projection_dim=24,
+                     num_heads=4, encoder_blocks=1,
+                     encoder_mlp_units=(32, 16), head_units=(32,))
+model = VitalModel(config, image_size=12, channels=3, num_classes=5,
+                   rng=np.random.default_rng(0))
+model.eval()
+server = LocalizationServer(InferenceSession(model, max_batch=8), workers=2,
+                            start_method="fork", max_delay_ms=1.0).start()
+server.predict_many(np.zeros((4, 12, 12, 3), np.float32), timeout=30.0)
+workers = sorted(shard.process.pid for shard in server._shards)
+"""
+
+
+def _python(script: str, **kwargs) -> subprocess.Popen:
+    """``script`` in a fresh interpreter that imports this tree's ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, text=True, **kwargs)
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _check_and_bump(ring, offset, expected) -> None:
+    """Child side of the mapping test: see the parent's data, change it."""
+    view = ring.view(offset, expected.shape)
+    if not np.array_equal(view, expected):
+        sys.exit(1)
+    view += 1.0
 
 
 def _tiny_session(max_batch: int = 8, seed: int = 0) -> InferenceSession:
@@ -168,25 +219,32 @@ class TestShmRingSegment:
         finally:
             ring.close()
 
-    def test_close_is_idempotent_and_unlinks_once(self):
+    def test_close_is_idempotent_and_releases_the_mapping(self):
         ring = ShmRing(capacity=4096)
-        name = ring.name
         ring.close()
         ring.close()  # second close must be a no-op
-        with pytest.raises(FileNotFoundError):
-            ShmWorkerRing(name)  # segment really is gone
+        with pytest.raises(ValueError, match="closed"):
+            ring.view(0, (4,))  # the mapping really is gone
 
-    def test_worker_attach_sees_parent_writes(self):
-        ring = ShmRing(capacity=4096)
-        try:
-            data = np.linspace(0, 1, 16, dtype=np.float32)
-            offset = ring.allocate(data.nbytes)
-            ring.view(offset, data.shape)[:] = data
-            worker = ShmWorkerRing(ring.name)
-            np.testing.assert_array_equal(worker.view(offset, data.shape), data)
-            worker.close()
-        finally:
-            ring.close()
+    def test_forked_and_spawned_children_see_parent_writes(self):
+        """The ring crosses to a worker by inheritance (fork) and as a
+        duplicated descriptor (spawn); either way the child reads the
+        parent's data and the parent reads the child's change."""
+        for method in ("fork", "spawn"):
+            ring = ShmRing(capacity=4096)
+            try:
+                data = np.linspace(0, 1, 16, dtype=np.float32)
+                offset = ring.allocate(data.nbytes)
+                ring.view(offset, data.shape)[:] = data
+                child = multiprocessing.get_context(method).Process(
+                    target=_check_and_bump, args=(ring, offset, data))
+                child.start()
+                child.join(timeout=60.0)
+                assert child.exitcode == 0, method
+                np.testing.assert_array_equal(ring.view(offset, data.shape),
+                                              data + 1.0)
+            finally:
+                ring.close()
 
 
 class TestDescriptors:
@@ -328,8 +386,7 @@ class TestServerShmTransport:
         task_recv, task_send = multiprocessing.Pipe(duplex=False)
         result_recv, result_send = multiprocessing.Pipe(duplex=False)
         worker = threading.Thread(target=_worker_main, daemon=True,
-                                  args=(0, task_recv, result_send, ring.name,
-                                        4))
+                                  args=(0, task_recv, result_send, ring, 4))
         worker.start()
         try:
             task_send.send(("load", "m", session.snapshot()))
@@ -377,16 +434,32 @@ class TestServerShmTransport:
         generations = [s["generation"] for s in stats["shards"]]
         assert max(generations) >= 2  # the restarted shard re-stamped
 
-    def test_teardown_shard_idempotent_and_close_unlinks(self, session, images):
+    def test_teardown_shard_idempotent_and_close_releases_ring(
+            self, session, images):
         server = LocalizationServer(session, workers=1, max_delay_ms=1.0)
         server.start()
         server.predict_many(images[:4], timeout=30.0)
-        ring_name = server._shards[0].ring.name
+        ring = server._shards[0].ring
         server.close()
         server.close()  # second close: teardown must tolerate nulled state
-        server._teardown_shard(server._shards[0], unlink_ring=True)  # again
-        with pytest.raises(FileNotFoundError):
-            ShmWorkerRing(ring_name)  # the segment is gone exactly once
+        server._teardown_shard(server._shards[0], close_ring=True)  # again
+        assert server._shards[0].ring is None
+        with pytest.raises(ValueError, match="closed"):
+            ring.view(0, (4,))  # the parent's mapping is released
+
+    def test_spawned_workers_serve_over_shm(self, session, images):
+        """Under spawn the ring reaches the worker as a descriptor.  (A
+        spawning parent always starts multiprocessing's resource tracker,
+        so this test does not look for its absence.)"""
+        with LocalizationServer(session, workers=1, max_delay_ms=1.0,
+                                start_method="spawn") as server:
+            served = server.predict_many(images[:8], timeout=60.0)
+            transport = server.stats()["transport"]
+        np.testing.assert_array_equal(served,
+                                      session.predict_many(images[:8]))
+        assert transport["mode"] == "shm"
+        assert transport["shm_batches"] >= 1
+        assert transport["pickle_batches"] == 0
 
     def test_transport_parity_bit_identical(self):
         from repro.serve.bench import run_transport_parity
@@ -394,3 +467,59 @@ class TestServerShmTransport:
         report = run_transport_parity(image_size=12, num_classes=8,
                                       max_batch=8, samples=24, workers=1)
         assert report["bit_identical"], report
+
+
+@needs_shm
+class TestHostProcesses:
+    """What a serving host leaves running: its workers and nothing else,
+    and none of them outlives it."""
+
+    def test_fork_server_children_are_only_its_workers(self):
+        script = TINY_SERVER + """
+me = os.getpid()
+children = sorted(
+    int(entry.name) for entry in Path("/proc").iterdir()
+    if entry.name.isdigit()
+    and (entry / "stat").read_text().rsplit(")", 1)[1].split()[1]
+    == str(me))
+rings = [str(path) for path in Path("/dev/shm").glob(f"repro-ring-{me}-*")]
+print(json.dumps({"workers": workers, "children": children,
+                  "rings": rings}))
+server.close()
+"""
+        child = _python(script)
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0
+        report = json.loads(out.splitlines()[-1])
+        assert report["children"] == report["workers"]  # no tracker
+        assert report["rings"] == []
+
+    def test_workers_exit_when_the_server_process_dies(self):
+        """A worker must read EOF once its parent is gone: it closes the
+        parent's ends of its own pipes that fork handed it."""
+        script = TINY_SERVER + """
+print(json.dumps(workers), flush=True)
+sys.stdin.read()
+"""
+        host = _python(script, stdin=subprocess.PIPE, start_new_session=True)
+        workers = []
+        try:
+            workers = json.loads(host.stdout.readline())
+            assert len(workers) == 2
+            host.kill()
+            host.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while (any(_alive(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            if host.poll() is None:
+                host.kill()
+            host.stdout.close()
+            host.stdin.close()
