@@ -6,10 +6,11 @@ contiguous float32 weights:
 
 * :class:`InferenceSession` — the dedicated ViT engine: packed Q/K/V
   matmul, LayerNorm affine folding, cached patch gather grid, preallocated
-  scratch buffers, micro-batched ``predict_many``.  Every dense site is
-  one ``np.matmul`` over token panels folded to 2-D; int8-resident
-  weights (:class:`QuantizedLinear`) cast cache-sized panels
-  (:func:`tune_quant_tile`) inside that matmul.
+  scratch buffers, micro-batched ``predict_many``, all run as one
+  compiled call plan per batch size.  Every dense site is one GEMM over
+  token panels folded to 2-D; int8-resident weights
+  (:class:`QuantizedLinear`) cast cache-sized panels
+  (:func:`tune_quant_tile`) into one panel the session owns.
 * :func:`compile_module` / :func:`compile_chain` — a generic compiler for
   sequential dense stacks (the neural baselines).
 * :func:`run_inference_benchmark` — the latency/throughput benchmark

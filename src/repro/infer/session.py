@@ -14,24 +14,40 @@ all:
 * every large intermediate lives in a scratch buffer sized for the
   configured micro-batch and is reused across calls.
 
+At one fingerprint per request the forward pass costs more in call
+overhead than in arithmetic, so on a batch size's first use the session
+compiles it into a plan (:class:`_Plan`): the kernels' NumPy calls
+(:mod:`repro.infer.ops`), each bound once to its operands and scratch
+views, in the five profiler phases ``patch_gather``, ``embed``,
+``block{i}``, ``final_norm_pool`` and ``head``.  A call then runs
+``for call in segment: call()`` per phase — the same calls on the same
+buffers in the same order, so the logits are the same bit for bit.
+Plans are cached per batch size in the scratch set: never pickled, reset
+on restore.  An attached profiler laps between the same segments.
+
 ``predict`` serves one micro-batch; ``predict_many`` chunks an arbitrary
-workload through the same buffers, which is the server-style entry point.
+workload through the same buffers, which is the server-style entry point,
+and writes into a caller's buffer with ``out=`` (a serving worker passes
+its shared-memory lease).
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
 from repro import nn
 from repro.infer.ops import (
+    QuantizedLinear,
     contiguous_f32,
-    dense_,
+    dense_calls,
     fold_norm_into_dense,
-    gelu_,
-    layer_norm_,
-    softmax_,
+    gelu_calls,
+    layer_norm_calls,
+    scalar_operand,
+    softmax_calls,
 )
 from repro.vit.model import VitalModel
 from repro.vit.patching import patch_index_grid
@@ -181,8 +197,9 @@ class _BlockProgram:
 
     #: Lazily (re)allocated scratch attributes, excluded from pickles so
     #: a snapshot ships only the compiled weights.
-    _SCRATCH = ("normed", "qkv", "scores", "context", "merged",
-                "mlp_bufs", "gelu_tmp", "block_out", "proj", "mlp_out")
+    _SCRATCH = ("normed", "norm_stat", "qkv", "scores", "scores_t",
+                "score_stat", "context", "merged", "mlp_bufs", "gelu_tmp",
+                "block_out", "proj", "mlp_out")
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
@@ -198,10 +215,13 @@ class _BlockProgram:
         B, D, h, hd = self._max_batch, self.dim, self.heads, self.head_dim
         f32 = np.float32
         self.normed = np.empty((B, seq, D), dtype=f32)
+        self.norm_stat = np.empty((B, seq, 1), dtype=f32)
         # qkv viewed as (B, N, 3, h, hd) so q/k/v split into head layout
         # without copies; the packed weight column order matches.
         self.qkv = np.empty((B, seq, 3 * D), dtype=f32)
         self.scores = np.empty((B, h, seq, seq), dtype=f32)
+        self.scores_t = np.empty((B, h, seq, seq), dtype=f32)
+        self.score_stat = np.empty((B, h, seq), dtype=f32)
         self.context = np.empty((B, h, seq, hd), dtype=f32)
         self.merged = np.empty((B, seq, D), dtype=f32)
         self.mlp_bufs = [np.empty((B, seq, u), dtype=f32) for u in self.mlp_widths[:-1]]
@@ -213,9 +233,12 @@ class _BlockProgram:
         self.mlp_out = np.empty((B, seq, self.out_dim - D), dtype=f32)
         self._buffers_for = seq
 
-    def run(self, tokens: np.ndarray) -> np.ndarray:
-        """One fused encoder block over ``(b, N, D)`` tokens; returns a
-        ``(b, N, out_dim)`` view into this block's output buffer.
+    def calls(self, tokens: np.ndarray, panel: np.ndarray | None) -> tuple[list, np.ndarray]:
+        """The calls of one fused encoder block over ``(b, N, D)``
+        ``tokens``, bound to this block's scratch at batch size ``b``, and
+        the ``(b, N, out_dim)`` view of the output buffer they fill.
+        ``panel`` is the session's int8 cast panel (``None`` when every
+        weight is float32).
 
         Token panels fold to 2-D so every dense site is one GEMM instead
         of one BLAS call per sample, and the two strided-output sites
@@ -228,6 +251,7 @@ class _BlockProgram:
         D, h, hd = self.dim, self.heads, self.head_dim
         rows = b * seq
         normed = self.normed[:b]
+        norm_stat = self.norm_stat[:b]
         qkv = self.qkv[:b]
         scores = self.scores[:b]
         context = self.context[:b]
@@ -237,34 +261,49 @@ class _BlockProgram:
         attended = out[..., :D]
 
         # --- attention sub-block (pre-norm folded into the packed matmul)
-        layer_norm_(tokens, self.eps_attn, out=normed)
-        dense_(normed.reshape(rows, D), self.w_qkv, self.b_qkv,
-               out=qkv.reshape(rows, 3 * D))
+        calls = layer_norm_calls(tokens, self.eps_attn, normed, norm_stat)
+        calls += dense_calls(normed.reshape(rows, D), self.w_qkv, self.b_qkv,
+                             qkv.reshape(rows, 3 * D), panel)
         split = qkv.reshape(b, seq, 3, h, hd)
         q = split[:, :, 0].transpose(0, 2, 1, 3)  # (b, h, N, hd) views
         k = split[:, :, 1].transpose(0, 2, 1, 3)
         v = split[:, :, 2].transpose(0, 2, 1, 3)
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        scores *= self.scale
-        softmax_(scores)
-        np.matmul(scores, v, out=context)
-        np.copyto(merged.reshape(b, seq, h, hd), context.transpose(0, 2, 1, 3))
-        dense_(merged.reshape(rows, D), self.w_out, self.b_out,
-               out=proj.reshape(rows, D))
-        np.add(proj, tokens, out=attended)  # residual
+        calls += [partial(np.matmul, q, k.transpose(0, 1, 3, 2), scores),
+                  partial(np.multiply, scores, scalar_operand(self.scale), scores)]
+        calls += softmax_calls(scores, self.scores_t[:b], self.score_stat[:b])
+        calls += [partial(np.matmul, scores, v, context),
+                  partial(np.copyto, merged.reshape(b, seq, h, hd),
+                          context.transpose(0, 2, 1, 3))]
+        calls += dense_calls(merged.reshape(rows, D), self.w_out,
+                             self.b_out, proj.reshape(rows, D), panel)
+        calls.append(partial(np.add, proj, tokens, attended))  # residual
 
         # --- MLP sub-block (pre-norm folded into the first dense)
-        layer_norm_(attended, self.eps_mlp, out=normed)
+        calls += layer_norm_calls(attended, self.eps_mlp, normed, norm_stat)
         x2d = normed.reshape(rows, D)
         for index, (w, bias) in enumerate(self.mlp_weights):
             last = index == len(self.mlp_weights) - 1
             target = self.mlp_out[:b] if last else self.mlp_bufs[index][:b]
             width = target.shape[-1]
-            dense_(x2d, w, bias, out=target.reshape(rows, width))
-            gelu_(target, *_gelu_planes(self.gelu_tmp, target))
+            calls += dense_calls(x2d, w, bias, target.reshape(rows, width), panel)
+            calls += gelu_calls(target, *_gelu_planes(self.gelu_tmp, target))
             x2d = target.reshape(rows, width)
-        np.copyto(out[..., D:], self.mlp_out[:b])
-        return out
+        calls.append(partial(np.copyto, out[..., D:], self.mlp_out[:b]))
+        return calls, out
+
+
+class _Plan:
+    """The forward pass at one batch size ``b``, compiled once: the
+    gather target, then the profiler phases after ``patch_gather`` as
+    ``(name, calls, output)`` segments — bound NumPy calls and the view
+    they leave their result in — and the logits view the last one fills."""
+
+    __slots__ = ("patches", "segments", "logits")
+
+    def __init__(self, patches: np.ndarray, segments: list):
+        self.patches = patches
+        self.segments = segments
+        self.logits = segments[-1][2]
 
 
 class InferenceSession:
@@ -357,6 +396,15 @@ class InferenceSession:
             sites.append(entry(f"head{index}", None, w))
         return sites
 
+    def _dense_weights(self):
+        """Every dense weight this engine multiplies by."""
+        yield self.w_embed
+        for block in self.blocks:
+            yield block.w_qkv
+            yield block.w_out
+            yield from (w for w, _bias in block.mlp_weights)
+        yield from (w for w, _bias in self.head_weights)
+
     def _allocate_scratch(self) -> None:
         """(Re)allocate the top-level scratch buffers shared across calls."""
         B, N = self.max_batch, self.num_patches
@@ -365,18 +413,27 @@ class InferenceSession:
         self._patches = np.empty((B, N, patch_dim), dtype=f32)
         self._tokens = np.empty((B, N, self.w_embed.shape[1]), dtype=f32)
         self._final_normed = np.empty((B, N, self.final_width), dtype=f32)
+        self._final_stat = np.empty((B, N, 1), dtype=f32)
         self._pooled = np.empty((B, self.final_width), dtype=f32)
         head_widths = [w.shape[1] for w, _b in self.head_weights]
         self._head_bufs = [np.empty((B, u), dtype=f32) for u in head_widths]
         self._head_tmp = np.empty((2, B * max(head_widths)), dtype=f32)
+        # One int8 cast panel for every QuantizedLinear site, sized for
+        # the largest; the shared weight objects hold none.
+        panel = max((w.panel_size for w in self._dense_weights()
+                     if isinstance(w, QuantizedLinear)), default=None)
+        self._panel = None if panel is None else np.empty(panel, dtype=f32)
+        # Compiled forward passes, one per batch size, built on first use.
+        self._plans: dict[int, _Plan] = {}
         # Opt-in per-phase profiler (repro.obs.profile.SessionProfiler);
         # scratch-excluded, so restored sessions always start unprofiled.
         self._profiler = getattr(self, "_profiler", None)
 
     # -- snapshot / restore -------------------------------------------
     #: Scratch attributes excluded from pickles; rebuilt on restore.
-    _SCRATCH = ("_patches", "_tokens", "_final_normed", "_pooled",
-                "_head_bufs", "_head_tmp", "_profiler")
+    _SCRATCH = ("_patches", "_tokens", "_final_normed", "_final_stat",
+                "_pooled", "_head_bufs", "_head_tmp", "_panel", "_plans",
+                "_profiler")
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
@@ -437,70 +494,98 @@ class InferenceSession:
             )
         return x
 
-    def predict(self, images) -> np.ndarray:
-        """Logits for one micro-batch of ``(b, S, S, C)`` images, b ≤ max_batch."""
-        x = self._coerce(images)
-        b = len(x)
-        if b > self.max_batch:
-            raise ValueError(
-                f"batch {b} exceeds max_batch {self.max_batch}; use predict_many"
-            )
-        # Profiling hook: one `is not None` check per phase when disabled
-        # (the default — `_profiler` lives in scratch and restores to None).
-        prof = self._profiler
-        if prof is not None:
-            t0 = time.perf_counter()
-        flat = x.reshape(b, -1)
-        patches = self._patches[:b]
-        np.take(flat, self.patch_grid, axis=1, out=patches)
-        if prof is not None:
-            t0 = prof.lap("patch_gather", t0)
-
-        tokens = self._tokens[:b]
+    def _plan(self, b: int) -> _Plan:
+        """Compile the forward pass at batch size ``b`` onto the scratch
+        buffers: every NumPy call bound once to its operands and views."""
         rows = b * self.num_patches
-        dense_(patches.reshape(rows, patches.shape[-1]), self.w_embed, None,
-               out=tokens.reshape(rows, tokens.shape[-1]))
-        tokens += self.pos_bias
-        if prof is not None:
-            t0 = prof.lap("embed", t0)
+        patches = self._patches[:b]
+        tokens = self._tokens[:b]
+        panel = self._panel
+        embed = dense_calls(patches.reshape(rows, patches.shape[-1]), self.w_embed,
+                            None, tokens.reshape(rows, tokens.shape[-1]), panel)
+        embed.append(partial(np.add, tokens, self.pos_bias, tokens))
+        segments = [("embed", embed, tokens)]
 
         out = tokens
-        if prof is not None:
-            for index, block in enumerate(self.blocks):
-                out = block.run(out)
-                t0 = prof.lap(f"block{index}", t0)
-        else:
-            for block in self.blocks:
-                out = block.run(out)
+        for index, block in enumerate(self.blocks):
+            calls, out = block.calls(out, panel)
+            segments.append((f"block{index}", calls, out))
 
         normed = self._final_normed[:b]
-        layer_norm_(out, self.eps_final, out=normed)
         pooled = self._pooled[:b]
-        np.mean(normed, axis=1, out=pooled)
-        if prof is not None:
-            t0 = prof.lap("final_norm_pool", t0)
+        pool = layer_norm_calls(out, self.eps_final, normed, self._final_stat[:b])
+        # np.mean(normed, axis=1, out=pooled), as in layer_norm_calls.
+        pool += [partial(np.add.reduce, normed, 1, None, pooled),
+                 partial(np.true_divide, pooled,
+                         scalar_operand(self.num_patches), pooled)]
+        segments.append(("final_norm_pool", pool, pooled))
 
+        head = []
         x2d = pooled
         for index, (w, bias) in enumerate(self.head_weights):
             target = self._head_bufs[index][:b]
-            dense_(x2d, w, bias, out=target)
+            head += dense_calls(x2d, w, bias, target, panel)
             if index < len(self.head_weights) - 1:
-                gelu_(target, *_gelu_planes(self._head_tmp, target))
+                head += gelu_calls(target, *_gelu_planes(self._head_tmp, target))
             x2d = target
-        if prof is not None:
-            prof.lap("head", t0)
-        return x2d.copy()
+        segments.append(("head", head, x2d))
+        return _Plan(patches, segments)
 
-    def predict_many(self, images, max_batch: int | None = None) -> np.ndarray:
+    def _plan_for(self, b: int) -> _Plan:
+        """The cached plan at batch size ``b``, built on first use."""
+        plan = self._plans.get(b)
+        if plan is None:
+            if b > self.max_batch:
+                raise ValueError(
+                    f"batch {b} exceeds max_batch {self.max_batch}; use predict_many"
+                )
+            plan = self._plans[b] = self._plan(b)
+        return plan
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the plan for ``len(x)`` coerced images; returns a view of
+        the plan's logits buffer, overwritten by the next call."""
+        b = len(x)
+        plan = self._plan_for(b)
+        # Profiling: one `is not None` check per phase when disabled (the
+        # default — `_profiler` lives in scratch and restores to None).
+        prof = self._profiler
+        if prof is not None:
+            t0 = time.perf_counter()
+        x.reshape(b, -1).take(self.patch_grid, 1, plan.patches)
+        if prof is not None:
+            t0 = prof.lap("patch_gather", t0)
+        for name, calls, _output in plan.segments:
+            for call in calls:
+                call()
+            if prof is not None:
+                t0 = prof.lap(name, t0)
+        return plan.logits
+
+    def predict(self, images) -> np.ndarray:
+        """Logits for one micro-batch of ``(b, S, S, C)`` images, b ≤ max_batch."""
+        return self._forward(self._coerce(images)).copy()
+
+    def predict_many(self, images, max_batch: int | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Logits for an arbitrary workload, chunked through the scratch
-        buffers ``max_batch`` samples at a time."""
+        buffers ``max_batch`` samples at a time.
+
+        With ``out`` (a ``(n, num_classes)`` array the caller owns, such
+        as a view of a shared-memory lease) the logits are written there
+        and ``out`` is returned; otherwise a new array is."""
         if max_batch is not None:
             max_batch = _validate_max_batch(max_batch)
         x = self._coerce(images)
         chunk = min(self.max_batch, max_batch or self.max_batch)
-        out = np.empty((len(x), self.num_classes), dtype=np.float32)
+        shape = (len(x), self.num_classes)
+        if out is None:
+            out = np.empty(shape, dtype=np.float32)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
         for begin in range(0, len(x), chunk):
-            out[begin : begin + chunk] = self.predict(x[begin : begin + chunk])
+            logits = self._forward(x[begin : begin + chunk])
+            np.copyto(out[begin : begin + len(logits)], logits)
         return out
 
     def predict_labels(self, images) -> np.ndarray:

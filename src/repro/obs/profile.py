@@ -1,13 +1,15 @@
 """Opt-in per-phase compute profiling for inference sessions.
 
 :class:`SessionProfiler` is a tiny accumulator an ``InferenceSession``
-(or ``QuantizedSession``) consults inline in ``predict``: when
-``session._profiler`` is ``None`` (the default — it lives in the
-session's scratch set, so it is never pickled and resets on restore)
-the hot path pays one attribute check per phase; when attached, each
-phase records call count + wall time.  Phase names follow the engine's
-structure: ``patch_gather``, ``embed``, ``block{i}``,
-``final_norm_pool``, ``head``.
+(or ``QuantizedSession``) consults while it runs its compiled plan: the
+plan's calls are grouped into one segment per phase, and the same loop
+that runs them checks ``session._profiler`` after each segment.  When
+it is ``None`` (the default — it lives in the session's scratch set, so
+it is never pickled and resets on restore) that check is all the hot
+path pays; when attached, each phase records call count + wall time, so
+a profiled ``predict`` runs exactly the calls of an unprofiled one.
+Phase names follow the engine's structure: ``patch_gather``, ``embed``,
+``block{i}``, ``final_norm_pool``, ``head``.
 
 The worker loop attaches a profiler per restored session when the
 server is constructed with ``profile=True`` and drains the per-batch

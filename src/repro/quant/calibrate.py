@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.infer.ops import dense_, gelu_, layer_norm_
+from repro.infer.ops import run_calls
 from repro.infer.session import InferenceSession
 
 
@@ -51,14 +51,16 @@ def calibrate_session(
 ) -> Calibration:
     """Run ``images`` through ``session`` recording per-site activation peaks.
 
-    Uses the session's own compiled blocks (the exact kernels the
-    quantized engine reuses), chunked through its scratch buffers like
-    ``predict_many``.
+    Runs the session's own compiled plan (the exact calls ``predict``
+    makes), chunked through its scratch buffers like ``predict_many``,
+    and observes each phase's output as the next site's input.
     """
     x = session._coerce(images)
     if len(x) == 0:
         raise ValueError("calibration needs at least one image")
     chunk = min(session.max_batch, max_batch or session.max_batch)
+    sites = [f"block_{index}_tokens" for index in range(len(session.blocks))]
+    sites += ["encoder_out", "pooled", "logits"]
     peaks: dict[str, float] = {}
 
     def observe(name: str, values: np.ndarray) -> None:
@@ -67,32 +69,11 @@ def calibrate_session(
 
     for begin in range(0, len(x), chunk):
         batch = x[begin : begin + chunk]
-        b = len(batch)
-        flat = batch.reshape(b, -1)
-        patches = np.take(flat, session.patch_grid, axis=1).astype(np.float32)
-        observe("patches", patches)
-
-        tokens = np.empty((b, session.num_patches, session.w_embed.shape[1]),
-                          dtype=np.float32)
-        dense_(patches, session.w_embed, None, out=tokens)
-        tokens += session.pos_bias
-        out = tokens
-        for index, block in enumerate(session.blocks):
-            observe(f"block_{index}_tokens", out)
-            out = block.run(out)
-        observe("encoder_out", out)
-
-        normed = np.empty_like(out)
-        layer_norm_(out, session.eps_final, out=normed)
-        pooled = normed.mean(axis=1)
-        observe("pooled", pooled)
-        x2d = pooled
-        for index, (w, bias) in enumerate(session.head_weights):
-            target = np.empty((b, w.shape[1]), dtype=np.float32)
-            dense_(x2d, w, bias, out=target)
-            if index < len(session.head_weights) - 1:
-                gelu_(target, np.empty_like(target), np.empty_like(target))
-            x2d = target
-        observe("logits", x2d)
+        plan = session._plan_for(len(batch))
+        batch.reshape(len(batch), -1).take(session.patch_grid, 1, plan.patches)
+        observe("patches", plan.patches)
+        for site, (_name, calls, output) in zip(sites, plan.segments):
+            run_calls(calls)
+            observe(site, output)
 
     return Calibration(samples=len(x), activation_peaks=peaks)

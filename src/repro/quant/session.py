@@ -11,10 +11,10 @@ head denses — as int8 codes plus scales:
   ``scheme="per_tensor"`` keeps the classic single-scale path.
 * ``mode="dequant"`` decodes the weights back to float32 once at session
   build — zero steady-state overhead, identical kernels to the float
-  engine; ``mode="int8"`` keeps the weights int8-resident and lets
-  :func:`repro.infer.ops.dense_` dequantize tile-by-tile inside each
-  matmul (:class:`repro.infer.QuantizedLinear`), cutting the resident
-  weight footprint ~4x.  There is one int8 engine: snapshots that
+  engine; ``mode="int8"`` keeps the weights int8-resident and casts them
+  tile by tile inside each matmul (:class:`repro.infer.QuantizedLinear`)
+  into one float32 panel the session owns, sized for its largest site,
+  cutting the resident weight footprint ~4x.  There is one int8 engine: snapshots that
   recorded ``matmul="int8_accumulate"`` (a retired engine that also
   quantized the activations) restore onto it.
 
@@ -102,8 +102,8 @@ def _executable_state(qstate: dict, mode: str, max_batch: int | None) -> dict:
     """Quantized state → the state the engine actually runs on.
 
     ``dequant`` materializes every :class:`QuantizedLinear` to float32;
-    ``int8`` wires the quantized objects straight into the blocks (the
-    ``dense_`` kernel dispatches on the weight type).
+    ``int8`` wires the quantized objects straight into the blocks
+    (:func:`repro.infer.ops.dense_calls` dispatches on the weight type).
     """
 
     def resolve(weight):
@@ -324,8 +324,12 @@ class QuantizedSession(InferenceSession):
 
         ``int8`` mode holds only the int8 codes (the execution state and
         the snapshot state share the same :class:`QuantizedLinear`
-        objects).  ``dequant`` mode holds the materialized float32 arrays
-        *plus* the retained codes — the codes stay resident so
+        objects, which hold no decode scratch).  Beside them the session
+        keeps one float32 cast panel in its scratch, sized for its
+        largest site (``n_in x tile`` floats: 63,488 B at the served
+        24x24 geometry, against 57,088 B of codes); it is scratch, so it
+        is not counted here.  ``dequant`` mode holds the materialized
+        float32 arrays *plus* the retained codes — the codes stay resident so
         :meth:`snapshot` can re-ship the compact wire format (which the
         serving layer relies on when re-seeding workers), making dequant a
         latency choice, not a memory saving.

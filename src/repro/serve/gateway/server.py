@@ -282,10 +282,11 @@ class GatewayServer:
                 if what == "listen":
                     self._accept_ready()
                 elif what == "wake":
+                    # One read per event: the selector is level-triggered,
+                    # so bytes left behind only make the next select return.
                     try:
-                        while self._wake_r.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
+                        self._wake_r.recv(4096)
+                    except OSError:
                         pass
                 else:
                     self._conn_ready(what, _mask)

@@ -206,7 +206,7 @@ def _worker_main(worker_id: int, task_conn, result_conn,
                         generation,
                     )
                     start = time.perf_counter()
-                    out[:] = session.predict_many(images)
+                    session.predict_many(images, out=out)
                     result = None  # the logits are in the lease
                 else:
                     start = time.perf_counter()
