@@ -9,8 +9,8 @@
   ``model_id`` and the dispatcher coalesces per route.  All routes share
   the pool's shared-memory ring segments (:mod:`repro.serve.shm`): a
   batch for any tenant leases ring space on its target shard, and the
-  per-route ``transport`` stats split each model's payload bytes by how
-  they crossed the worker boundary.
+  per-route ``transport`` stats count each model's batches and payload
+  bytes.
 * **Hot swap** — :meth:`swap` loads the new version on every worker,
   atomically flips the routing table (queued requests follow instantly —
   routes resolve at dispatch time), drains the outgoing version's
@@ -584,14 +584,13 @@ class FleetServer(LocalizationServer):
 
     def stats(self) -> dict:
         """Base serving stats plus the fleet control-plane section:
-        per-model routing counts (each with its transport byte split),
+        per-model routing counts (each with its transport bytes),
         swap reports, canary outcomes, and a fleet-wide transport rollup
         over the currently deployed routes."""
         base = super().stats()
         with self._lock:
             models = {}
-            rollup = {"shm_batches": 0, "shm_bytes": 0,
-                      "pickle_batches": 0, "pickle_bytes": 0, "spills": 0}
+            rollup = {"shm_batches": 0, "shm_bytes": 0}
             for model, entry in self._deployed.items():
                 route = self._route_stats.get(entry["key"])
                 summary = route.summary() if route else {}

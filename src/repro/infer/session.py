@@ -564,7 +564,10 @@ class InferenceSession:
 
     def predict(self, images) -> np.ndarray:
         """Logits for one micro-batch of ``(b, S, S, C)`` images, b ≤ max_batch."""
-        return self._forward(self._coerce(images)).copy()
+        x = self._coerce(images)
+        if not len(x):  # no plan for b = 0; predict_many never runs one
+            return np.empty((0, self.num_classes), dtype=np.float32)
+        return self._forward(x).copy()
 
     def predict_many(self, images, max_batch: int | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:

@@ -3,8 +3,8 @@
 Six pieces, all zero-dependency:
 
 * :mod:`repro.obs.trace` — per-request span tracing (enqueue ->
-  batch_form -> transport write -> worker_recv -> compute -> transport
-  read -> complete) with configurable sampling, a bounded in-memory
+  batch_form -> shm_write -> worker_recv -> compute -> shm_read ->
+  complete) with configurable sampling, a bounded in-memory
   buffer, and JSON / Chrome ``trace_event`` export.
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram primitives, a
   labeled :class:`MetricsRegistry` with collector support and bounded

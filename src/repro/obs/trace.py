@@ -4,8 +4,8 @@ A traced request accumulates absolute ``time.perf_counter()`` stamps as
 it crosses the serving layers; :func:`spans_from_stamps` turns the stamp
 set into a **contiguous** span chain
 
-    enqueue -> batch_form -> shm_write|pickle_write -> worker_recv
-            -> compute -> shm_read|result_read -> complete
+    enqueue -> batch_form -> shm_write -> worker_recv -> compute
+            -> shm_read -> complete
 
 where each span starts exactly where the previous one ended, so the span
 durations sum to the measured end-to-end latency by construction (the
@@ -42,16 +42,15 @@ __all__ = [
 #: Schema tag stamped on exported trace documents.
 TRACE_SCHEMA = "repro.obs.trace.v1"
 
-#: Canonical span order.  Transport-dependent slots hold one of the
-#: alternatives; ``worker_recv``/``compute`` collapse into a single
-#: ``compute`` span when the worker did not report its own stamps.
+#: Canonical span order; ``worker_recv``/``compute`` collapse into a
+#: single ``compute`` span when the worker did not report its own stamps.
 SPAN_CHAIN = (
     "enqueue",
     "batch_form",
-    ("shm_write", "pickle_write"),
+    "shm_write",
     "worker_recv",
     "compute",
-    ("shm_read", "result_read"),
+    "shm_read",
     "complete",
 )
 
@@ -115,8 +114,7 @@ class RequestTrace:
             return False
         position = 0
         for expected in SPAN_CHAIN:
-            alternatives = (expected,) if isinstance(expected, str) else expected
-            if position < len(names) and names[position] in alternatives:
+            if position < len(names) and names[position] == expected:
                 position += 1
             elif expected == "worker_recv":
                 continue  # collapsed into compute (no worker stamps)
@@ -142,7 +140,6 @@ class RequestTrace:
 
 def spans_from_stamps(enqueued: float, gathered: float, write_start: float,
                       sent: float, collected: float, done: float,
-                      transport: str,
                       worker: Optional[tuple] = None) -> list:
     """Build the contiguous span chain from absolute perf_counter stamps.
 
@@ -152,21 +149,19 @@ def spans_from_stamps(enqueued: float, gathered: float, write_start: float,
     Stamps are clamped monotone non-decreasing before use so clock
     granularity can never produce a negative span.
     """
-    write_name = "shm_write" if transport == "shm" else "pickle_write"
-    read_name = "shm_read" if transport == "shm" else "result_read"
     if worker is not None:
         recv, _c0, c1 = worker
         boundaries = [
             ("enqueue", enqueued), ("batch_form", gathered),
-            (write_name, write_start), ("worker_recv", sent),
-            ("compute", recv), (read_name, c1), ("complete", collected),
+            ("shm_write", write_start), ("worker_recv", sent),
+            ("compute", recv), ("shm_read", c1), ("complete", collected),
             (None, done),
         ]
     else:
         boundaries = [
             ("enqueue", enqueued), ("batch_form", gathered),
-            (write_name, write_start), ("compute", sent),
-            (read_name, collected), ("complete", collected),
+            ("shm_write", write_start), ("compute", sent),
+            ("shm_read", collected), ("complete", collected),
             (None, done),
         ]
     spans = []

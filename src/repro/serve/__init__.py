@@ -9,11 +9,12 @@ into an online serving system:
   fronted by a request queue, an adaptive micro-batcher
   (:class:`AdaptiveBatchPolicy`) and least-loaded shard routing, with
   health-checked workers that restart on crash without losing requests.
-* :mod:`repro.serve.shm` — the zero-copy shared-memory batch transport:
-  per-shard rings (anonymous shared mappings, no ``/dev/shm`` name) carry
-  the float32 image/logit blocks while only small fixed records (offsets,
-  sample count, generation) cross the task and result pipes; full rings
-  backpressure then spill to pickle, never drop.
+* :mod:`repro.serve.shm` — the one batch transport, zero-copy shared
+  memory: per-shard rings (anonymous shared mappings, no ``/dev/shm``
+  name; Linux ``os.memfd_create``) carry the float32 image/logit blocks
+  while only small fixed records (offsets, sample count, generation)
+  cross the task and result pipes; a full ring backpressures into the
+  admission queue, never drops.
 * :mod:`repro.serve.stats` — per-shard counters, batch-size histograms,
   transport/ring-occupancy counters and latency reservoirs surfaced by
   ``LocalizationServer.stats()`` — all built on the unified

@@ -21,11 +21,9 @@ The policy is pure (no threads, no clocks of its own): the dispatcher
 feeds it timestamps and pending counts, and it answers with a wait budget
 in seconds.  This keeps it unit-testable without spawning a server.
 
-:func:`assemble_images` is the other half of batch formation: it gathers
-the coalesced requests' image blocks into the dispatch payload — either
-directly into a shared-memory ring view (the zero-copy transport, no
-intermediate stacked array ever exists) or into a fresh contiguous array
-for the pickle transport.
+:func:`assemble_images` is the other half of batch formation: it writes
+the coalesced requests' image blocks straight into the batch's
+shared-memory ring lease, so no intermediate stacked array ever exists.
 """
 
 from __future__ import annotations
@@ -33,22 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def assemble_images(blocks: list[np.ndarray],
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Gather per-request image blocks into one contiguous batch.
+def assemble_images(blocks: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Write per-request image blocks into ``out``, one after another.
 
-    With ``out`` (a :class:`repro.serve.shm.ShmRing` view over the
-    batch's ring lease) each block is written straight into shared
-    memory — the assembly *is* the transport, so the batch crosses the
+    ``out`` is a :class:`repro.serve.shm.ShmRing` view over the batch's
+    ring lease: the assembly *is* the transport, so the batch crosses the
     process boundary without a pickle pass or a temporary stack.
-    Without ``out`` the blocks are stacked into a fresh array for the
-    pickle transport; a single pre-chunked request passes through
-    zero-copy, exactly as before.
     """
-    if out is None:
-        if len(blocks) == 1:
-            return blocks[0]
-        return np.concatenate(blocks, axis=0)
     offset = 0
     for block in blocks:
         out[offset : offset + len(block)] = block

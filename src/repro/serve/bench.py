@@ -1,5 +1,5 @@
 """Serving benchmark: worker-scaling and batching-deadline sweeps, the
-kill-one-worker drill and the shm-vs-pickle transport comparison.
+kill-one-worker drill and the ring-vs-pickle marshalling comparison.
 
 Four experiments, recorded as the ``serving`` section of
 ``BENCH_serving.json`` (see :mod:`repro.bench`); their load comes from
@@ -17,13 +17,12 @@ Four experiments, recorded as the ``serving`` section of
 * **fault_tolerance** — a kill-one-worker drill: SIGKILL a busy shard
   mid-load and verify every submitted request still completes (the
   monitor restarts the worker and re-dispatches its in-flight batches).
-  Under the shm transport the drill additionally asserts that every ring
-  lease the dead worker held was reclaimed (no leaked segments).
-* **transport** — the shared-memory vs pickle comparison: a marshalling
-  micro-benchmark (what one batch costs to cross the worker boundary and
-  back, per transport) plus an end-to-end closed-loop A/B at the same
-  worker count.  The acceptance gate is ≥30% lower per-batch dispatch
-  overhead *or* ≥1.3x end-to-end samples/s for shm over pickle.
+  The drill also asserts that every ring lease the dead worker held was
+  reclaimed (no leaked segments).
+* **transport** — a marshalling micro-benchmark: what one batch costs
+  to cross the worker boundary and back as a pickle round trip each way
+  vs a ring write, a zero-copy view and a logits copy-out.  The gate is
+  ≥30% lower per-batch dispatch overhead for the ring.
 
 Run via ``python -m repro.bench run serving``.
 """
@@ -72,15 +71,14 @@ def run_fault_tolerance_drill(
     request_size: int = 8,
     workers: int = 2,
     timeout: float = 60.0,
-    transport: str = "shm",
 ) -> dict:
     """Kill a busy worker mid-load; verify no request is lost.
 
     Submits ``requests`` requests, SIGKILLs shard 0's process once a few
     results are in, then collects *every* result.  Success means all
-    requests completed and the stats show at least one restart — and,
-    under the shm transport, that every ring lease the crashed worker
-    was holding has been reclaimed (``ring_leases_after == 0``): a crash
+    requests completed and the stats show at least one restart — and
+    that every ring lease the crashed worker was holding has been
+    reclaimed (``ring_leases_after == 0``): a crash
     must neither lose requests nor leak ring segments.
 
     The drill ends with an *expired-lease probe*: every worker is
@@ -94,8 +92,7 @@ def run_fault_tolerance_drill(
 
     rng = np.random.default_rng(7)
     with LocalizationServer(session, workers=workers, max_delay_ms=1.0,
-                            health_interval_s=0.05,
-                            transport=transport) as server:
+                            health_interval_s=0.05) as server:
         ids = []
         victim = server._shards[0].process
         for index in range(requests):
@@ -149,10 +146,8 @@ def run_fault_tolerance_drill(
             probe["error"] = str(error)
         stats = server.stats()
     restarts = sum(shard["restarts"] for shard in stats["shards"])
-    leases_after = sum(
-        ring["live_leases"]
-        for ring in stats["transport"]["rings"] if ring is not None
-    )
+    leases_after = sum(ring["live_leases"]
+                       for ring in stats["transport"]["rings"])
     probe["ring_leases_after"] = leases_after
     probe["ok"] = bool(probe["dispatched"] and probe["deadline_expired"]
                        and leases_after == 0)
@@ -170,7 +165,7 @@ def run_fault_tolerance_drill(
     }
 
 
-def run_transport_parity(
+def run_served_parity(
     image_size: int = 16,
     num_classes: int = 16,
     max_batch: int = 16,
@@ -179,26 +174,20 @@ def run_transport_parity(
     seed: int = 0,
     timeout: float = 60.0,
 ) -> dict:
-    """Serve one workload under both transports; predictions must be
-    bit-identical (part of the ``serving`` smoke lane)."""
+    """Serve one workload; the answers must equal in-process
+    ``predict_many`` bit for bit (part of the ``serving`` smoke lane)."""
     session = make_session(image_size, num_classes, max_batch, seed)
     rng = np.random.default_rng(seed + 1)
     images = rng.standard_normal(
         (samples, image_size, image_size, 3)
     ).astype(np.float32)
-    outputs = {}
-    modes = {}
-    for transport in ("shm", "pickle"):
-        with LocalizationServer(session, workers=workers, max_delay_ms=1.0,
-                                transport=transport) as server:
-            outputs[transport] = server.predict_many(images, timeout=timeout)
-            modes[transport] = server.stats()["transport"]["mode"]
+    with LocalizationServer(session, workers=workers,
+                            max_delay_ms=1.0) as server:
+        served = server.predict_many(images, timeout=timeout)
     return {
         "samples": samples,
-        "modes": modes,  # shm may have degraded to pickle on this platform
-        "shm_available": shm_transport.HAVE_SHM,
         "bit_identical": bool(
-            np.array_equal(outputs["shm"], outputs["pickle"])
+            np.array_equal(served, session.predict_many(images))
         ),
     }
 
@@ -207,19 +196,16 @@ def run_transport_benchmark(
     image_size: int = 24,
     num_classes: int = 32,
     max_batch: int = 32,
-    workers: int = 2,
     quick: bool = False,
     seed: int = 0,
     verbose: bool = False,
 ) -> dict:
-    """The shm-vs-pickle comparison recorded as the ``transport`` section.
+    """The ring-vs-pickle comparison recorded as the ``transport`` section.
 
-    Part 1 isolates the per-batch *dispatch overhead* — what moving one
+    It isolates the per-batch *dispatch overhead* — what moving one
     ``(max_batch, size, size, 3)`` float32 batch to a worker and its
     logits back costs in marshalling alone: a pickle dumps/loads round
     trip each way vs a ring write + zero-copy view + logits copy-out.
-    Part 2 runs the same closed-loop load end-to-end under each
-    transport at the same worker count.
     """
     iters = 60 if quick else 300
     rng = np.random.default_rng(seed)
@@ -228,11 +214,6 @@ def run_transport_benchmark(
     ).astype(np.float32)
     logits = rng.standard_normal((max_batch, num_classes)).astype(np.float32)
 
-    def log(message: str) -> None:
-        if verbose:
-            print(message, flush=True)
-
-    # --- part 1: marshalling micro-benchmark ---------------------------
     start = time.perf_counter()
     for _ in range(iters):
         payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
@@ -241,73 +222,33 @@ def run_transport_benchmark(
         _ = pickle.loads(reply)
     pickle_us = (time.perf_counter() - start) / iters * 1e6
 
-    shm_us = None
-    if shm_transport.HAVE_SHM:
-        in_bytes = shm_transport.align(batch.nbytes)
-        out_bytes = shm_transport.align(logits.nbytes)
-        ring = shm_transport.ShmRing(4 * (in_bytes + out_bytes))
-        try:
-            start = time.perf_counter()
-            for _ in range(iters):
-                offset = ring.allocate(in_bytes + out_bytes)
-                ring.view(offset, batch.shape)[:] = batch  # dispatch write
-                gathered = ring.view(offset, batch.shape)  # worker view
-                out = ring.view(offset + in_bytes, logits.shape)
-                out[:] = logits  # worker writes its result block
-                _ = np.array(out, copy=True)  # collector copies slices out
-                del gathered, out
-                ring.free(offset)
-            shm_us = (time.perf_counter() - start) / iters * 1e6
-        finally:
-            ring.close()
-    reduction = (1.0 - shm_us / pickle_us) if shm_us is not None else None
-    log(f"    marshalling: pickle {pickle_us:.0f} us/batch vs "
-        f"shm {shm_us and round(shm_us)} us/batch")
-
-    # --- part 2: end-to-end closed-loop A/B ----------------------------
-    session = make_session(image_size, num_classes, max_batch, seed)
-    pool = rng.standard_normal(
-        (4 * max_batch, image_size, image_size, 3)
-    ).astype(np.float32)
-    clients = 4
-    requests_per_client = 4 if quick else 12
-    end_to_end = {}
-    for transport in ("pickle", "shm"):
-        if transport == "shm" and not shm_transport.HAVE_SHM:
-            continue
-        with LocalizationServer(session, workers=workers,
-                                max_batch=max_batch, max_delay_ms=2.0,
-                                transport=transport) as server:
-            run = loadgen.run(loadgen.ServerTarget(server),
-                              loadgen.windows(pool, max_batch, seed + 3),
-                              clients=clients, requests=requests_per_client)
-            stats = server.stats()
-        end_to_end[transport] = {
-            "samples_per_s": run.samples_per_s,
-            "errors": run.failures,
-            "transport_stats": stats["transport"],
-        }
-        log(f"    end-to-end {transport}: "
-            f"{run.samples_per_s:.0f} samples/s")
-    speedup = None
-    if "shm" in end_to_end and end_to_end["pickle"]["samples_per_s"] > 0:
-        speedup = (end_to_end["shm"]["samples_per_s"]
-                   / end_to_end["pickle"]["samples_per_s"])
-
-    gate = bool(
-        (reduction is not None and reduction >= 0.30)
-        or (speedup is not None and speedup >= 1.3)
-    )
+    in_bytes = shm_transport.align(batch.nbytes)
+    out_bytes = shm_transport.align(logits.nbytes)
+    ring = shm_transport.ShmRing(4 * (in_bytes + out_bytes))
+    try:
+        start = time.perf_counter()
+        for _ in range(iters):
+            offset = ring.allocate(in_bytes + out_bytes)
+            ring.view(offset, batch.shape)[:] = batch  # dispatch write
+            gathered = ring.view(offset, batch.shape)  # worker view
+            out = ring.view(offset + in_bytes, logits.shape)
+            out[:] = logits  # worker writes its result block
+            _ = np.array(out, copy=True)  # collector copies slices out
+            del gathered, out
+            ring.free(offset)
+        shm_us = (time.perf_counter() - start) / iters * 1e6
+    finally:
+        ring.close()
+    reduction = 1.0 - shm_us / pickle_us
+    if verbose:
+        print(f"    marshalling: pickle {pickle_us:.0f} us/batch vs "
+              f"shm {shm_us:.0f} us/batch", flush=True)
     return {
-        "available": shm_transport.HAVE_SHM,
         "config": {
             "image_size": image_size,
             "num_classes": num_classes,
             "max_batch": max_batch,
-            "workers": workers,
             "marshal_iters": iters,
-            "clients": clients,
-            "requests_per_client": requests_per_client,
         },
         "batch_payload_bytes": int(batch.nbytes + logits.nbytes),
         "dispatch_overhead_us": {
@@ -315,13 +256,8 @@ def run_transport_benchmark(
             "shm": shm_us,
             "reduction": reduction,
         },
-        "end_to_end": {
-            **end_to_end,
-            "speedup_shm_vs_pickle": speedup,
-        },
-        # ≥30% lower per-batch dispatch overhead OR ≥1.3x end-to-end
-        # throughput for shm over pickle (None = shm unavailable here).
-        "gate_transport": gate if shm_transport.HAVE_SHM else None,
+        # ≥30% lower per-batch dispatch overhead for the ring.
+        "gate_transport": bool(reduction >= 0.30),
     }
 
 
@@ -334,7 +270,6 @@ def run_serving_benchmark(
     quick: bool = False,
     seed: int = 0,
     verbose: bool = True,
-    transport: str = "shm",
 ) -> dict:
     """Run all four serving experiments; returns the result record."""
     requests_per_client = 6 if quick else 24
@@ -356,8 +291,7 @@ def run_serving_benchmark(
     throughput_rows = []
     for workers in worker_counts:
         with LocalizationServer(session, workers=workers, max_batch=max_batch,
-                                max_delay_ms=2.0,
-                                transport=transport) as server:
+                                max_delay_ms=2.0) as server:
             run = loadgen.run(loadgen.ServerTarget(server),
                               loadgen.windows(pool, max_batch, seed),
                               clients=clients, requests=requests_per_client)
@@ -384,8 +318,7 @@ def run_serving_benchmark(
     for deadline_ms in deadlines_ms:
         with LocalizationServer(session, workers=sweep_workers,
                                 max_batch=max_batch,
-                                max_delay_ms=deadline_ms,
-                                transport=transport) as server:
+                                max_delay_ms=deadline_ms) as server:
             run = loadgen.run(
                 loadgen.ServerTarget(server), loadgen.windows(pool, 1, seed + 2),
                 clients=max(8, clients),
@@ -412,23 +345,21 @@ def run_serving_benchmark(
     log("  fault-tolerance drill (SIGKILL one busy worker)...")
     drill = run_fault_tolerance_drill(
         session, pool, requests=drill_requests, request_size=8, workers=2,
-        transport=transport,
     )
     log(f"  drill: {drill['completed']}/{drill['requests']} completed, "
         f"{drill['restarts']} restart(s), lost={drill['lost']}, "
         f"leases leaked={drill['ring_leases_after']}")
 
-    # --- experiment 4: shm-vs-pickle transport comparison
+    # --- experiment 4: ring-vs-pickle marshalling comparison
     log("  transport comparison (shm vs pickle dispatch overhead)...")
     transport_section = run_transport_benchmark(
         image_size=image_size, num_classes=num_classes, max_batch=max_batch,
-        workers=2, quick=quick, seed=seed + 7, verbose=verbose,
+        quick=quick, seed=seed + 7, verbose=verbose,
     )
     overhead = transport_section["dispatch_overhead_us"]
-    if overhead["reduction"] is not None:
-        log(f"  transport: pickle {overhead['pickle']:.0f} us/batch vs shm "
-            f"{overhead['shm']:.0f} us/batch "
-            f"({overhead['reduction']:.0%} lower dispatch overhead)")
+    log(f"  transport: pickle {overhead['pickle']:.0f} us/batch vs shm "
+        f"{overhead['shm']:.0f} us/batch "
+        f"({overhead['reduction']:.0%} lower dispatch overhead)")
 
     cpu_count = os.cpu_count() or 1
     hardware_limited = cpu_count < 4
@@ -446,7 +377,6 @@ def run_serving_benchmark(
             "cpu_count": cpu_count,
             "quick": quick,
             "seed": seed,
-            "transport": transport,
             "threads": thread_config(),
         },
         "throughput_vs_workers": throughput_rows,
@@ -514,17 +444,13 @@ def format_summary(result: dict) -> str:
         f"completed after SIGKILL, {drill['restarts']} restart(s), "
         f"lost={drill['lost']} → {'OK' if drill['ok'] else 'FAIL'}"
     )
-    transport = result.get("transport")
-    if transport is not None and transport.get("available"):
-        overhead = transport["dispatch_overhead_us"]
-        speedup = transport["end_to_end"].get("speedup_shm_vs_pickle")
-        lines.append(
-            f"  transport (shm vs pickle): dispatch {overhead['shm']:.0f} vs "
-            f"{overhead['pickle']:.0f} us/batch "
-            f"({overhead['reduction']:.0%} lower), end-to-end "
-            + (f"{speedup:.2f}x" if speedup is not None else "n/a")
-            + f" → {'OK' if transport['gate_transport'] else 'FAIL'}"
-        )
+    overhead = result["transport"]["dispatch_overhead_us"]
+    lines.append(
+        f"  transport (shm vs pickle): dispatch {overhead['shm']:.0f} vs "
+        f"{overhead['pickle']:.0f} us/batch "
+        f"({overhead['reduction']:.0%} lower) → "
+        f"{'OK' if overhead['reduction'] >= 0.30 else 'FAIL'}"
+    )
     scaling = result["scaling"]
     if scaling["hardware_limited"]:
         lines.append(

@@ -31,22 +31,21 @@ Architecture::
   latency deadline (:mod:`repro.serve.batcher`), dispatching at once
   whenever a shard goes idle.  Each batch goes to the shard with the
   fewest outstanding samples.
-* Batch payloads default to the **zero-copy shared-memory transport**
+* Every batch crosses to its worker through the **shared-memory ring**
   (:mod:`repro.serve.shm`): the dispatching thread writes each
   micro-batch's float32 image block straight into the target shard's
   ring (an anonymous shared mapping the worker inherits or receives as a
   file descriptor) and sends only a fixed ``struct`` record (offsets,
   sample count, generation) over the task pipe; the worker gathers by
   offset, writes its logits into the lease's reserved output block and
-  answers with a 9-byte record.  A full ring applies backpressure
-  (bounded wait, then a per-batch *spill* to the pickle transport —
-  never a drop), and hosts without ``os.memfd_create`` fall back to
-  pickle wholesale.
+  answers with a 9-byte record.  A full ring applies backpressure: the
+  dispatcher waits for a lease while the backlog stays in the admission
+  queue.  Rings need ``os.memfd_create`` (Linux).
 * Task-pipe messages are posted under the bookkeeping lock and written
-  after it is released, by whichever thread holds the shard's send lock
-  (:meth:`LocalizationServer._flush`): a pipe write blocks while the pipe
-  is full, and the worker only empties it while the collector can take
-  the lock to read its results.
+  after it is released, by the posting thread under the shard's send
+  lock (:meth:`LocalizationServer._flush`): a pipe write blocks while
+  the pipe is full, and the worker only empties it while the collector
+  can take the lock to read its results.  The collector posts nothing.
 * Results travel over per-worker pipes (single writer each), so a worker
   dying mid-write can never corrupt another shard's channel.  A worker
   holds no parent-side end of its own pipes, so if the parent dies the
@@ -105,14 +104,17 @@ from repro.serve.stats import (
 #: Model id (and route key) a single-model server serves under.
 DEFAULT_MODEL = "default"
 
+#: Longest a dispatch blocked on a full ring sleeps before it culls the
+#: queued requests whose deadline lapsed.
+_RING_TICK_S = 0.02
+
 #: What ``multiprocessing.connection.wait`` polls with, kept open here.
 _PipeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 def _worker_main(worker_id: int, task_conn, result_conn,
-                 ring: shm_transport.ShmRing | None = None,
-                 generation: int = 0, profile: bool = False,
-                 parent_ends=()) -> None:
+                 ring: shm_transport.ShmRing, generation: int = 0,
+                 profile: bool = False, parent_ends=()) -> None:
     """Worker process loop: restore sessions on demand, serve batches.
 
     ``parent_ends`` are the parent's own ends of this worker's pipes (its
@@ -120,38 +122,34 @@ def _worker_main(worker_id: int, task_conn, result_conn,
     while it holds the task writer its task pipe never reads EOF, so it
     closes them first: once the parent dies, the worker reads EOF and
     exits instead of outliving it.  ``ring`` is the shard's
-    :class:`~repro.serve.shm.ShmRing` (``None`` under the pickle
-    transport).
+    :class:`~repro.serve.shm.ShmRing`.
 
     Task pipe (parent → worker), read one message at a time:
 
-    * a shm batch is one fixed ``struct`` record
+    * a batch is one fixed ``struct`` record
       (:func:`repro.serve.shm.batch_record`: batch id, input/output ring
       offsets, sample count, generation, traced flag, route key).  The
       shapes come from the route's session; a record stamped with
-      another ``generation`` (or sent to a worker without a ring) is
-      reported as :class:`~repro.serve.shm.ShmTransportError`, so the
-      parent re-dispatches the batch over pickle instead of failing it;
+      another ``generation`` is reported as
+      :class:`~repro.serve.shm.ShmTransportError`, and the parent
+      restarts the shard;
     * everything else is pickled: ``("load", key, snapshot)``,
-      ``("unload", key)``, ``("batch", batch_id, key, images, traced)``
-      (the pickle transport) and ``("stop",)``.
+      ``("unload", key)`` and ``("stop",)``.
 
-    Result pipe (worker → parent): an untraced shm batch answers with a
+    Result pipe (worker → parent): an untraced batch answers with a
     :func:`repro.serve.shm.done_record` (its logits are already in the
     lease's output block); everything else is pickled:
     ``("loaded", worker_id, key)``,
     ``("load_failed", worker_id, key, message)``,
-    ``("done", batch_id, logits_or_None, compute_s, timing)`` (``None``
-    for a shm batch) and ``("error", batch_id, message)``.
+    ``("done", batch_id, timing)`` and ``("error", batch_id, message)``.
 
     ``traced`` marks a batch whose requests sampled tracing; only then
     does the worker stamp its side of the timeline — ``timing`` rides
     back as ``(recv, compute_start, compute_end, phases)`` in the same
-    system-wide ``perf_counter`` timebase the parent stamps with, and is
-    ``None`` for untraced batches.  With ``profile=True`` each restored
-    session gets a :class:`repro.obs.profile.SessionProfiler`, and
-    ``phases`` carries the per-phase compute breakdown of the batch
-    (``None`` otherwise).
+    system-wide ``perf_counter`` timebase the parent stamps with.  With
+    ``profile=True`` each restored session gets a
+    :class:`repro.obs.profile.SessionProfiler`, and ``phases`` carries
+    the per-phase compute breakdown of the batch (``None`` otherwise).
     """
     for conn in parent_ends:
         conn.close()
@@ -166,11 +164,7 @@ def _worker_main(worker_id: int, task_conn, result_conn,
     try:
         while True:
             data = task_conn.recv_bytes()
-            if data[:1] == shm_transport.BATCH_TAG:
-                (batch_id, in_offset, out_offset, n, stamp, traced,
-                 key) = shm_transport.read_batch_record(data)
-                images = None
-            else:
+            if data[:1] != shm_transport.BATCH_TAG:
                 message = pickle.loads(data)
                 kind = message[0]
                 if kind == "load":
@@ -186,44 +180,34 @@ def _worker_main(worker_id: int, task_conn, result_conn,
                         )
                     else:
                         result_conn.send(("loaded", worker_id, key))
-                    continue
-                if kind == "unload":
+                elif kind == "unload":
                     sessions.pop(message[1], None)
-                    continue
-                if kind == "stop":
+                elif kind == "stop":
                     return
-                _, batch_id, key, images, traced = message  # "batch"
+                continue
+            (batch_id, in_offset, out_offset, n, stamp, traced,
+             key) = shm_transport.read_batch_record(data)
             recv = time.perf_counter() if traced else 0.0
             try:
                 session = sessions.get(key)
                 if session is None:
                     raise RuntimeError(f"model {key!r} not loaded on worker")
-                if images is None:
-                    size, channels = session.image_size, session.channels
-                    images, out = shm_transport.open_batch(
-                        ring, in_offset, (n, size, size, channels),
-                        out_offset, (n, session.num_classes), stamp,
-                        generation,
-                    )
-                    start = time.perf_counter()
-                    session.predict_many(images, out=out)
-                    result = None  # the logits are in the lease
-                else:
-                    start = time.perf_counter()
-                    result = session.predict_many(images)
-                compute_s = time.perf_counter() - start
+                size, channels = session.image_size, session.channels
+                images, out = shm_transport.open_batch(
+                    ring, in_offset, (n, size, size, channels),
+                    out_offset, (n, session.num_classes), stamp, generation,
+                )
+                start = time.perf_counter()
+                session.predict_many(images, out=out)  # logits into the lease
+                end = time.perf_counter()
                 profiler = getattr(session, "_profiler", None)
                 # drain per batch so phases never bleed across traces
                 phases = profiler.drain() if profiler is not None else None
                 if traced:
-                    result_conn.send(("done", batch_id, result, compute_s,
-                                      (recv, start, start + compute_s,
-                                       phases)))
-                elif result is None:
-                    result_conn.send_bytes(shm_transport.done_record(batch_id))
+                    result_conn.send(("done", batch_id,
+                                      (recv, start, end, phases)))
                 else:
-                    result_conn.send(("done", batch_id, result, compute_s,
-                                      None))
+                    result_conn.send_bytes(shm_transport.done_record(batch_id))
             except Exception as error:  # report, keep serving
                 result_conn.send(
                     ("error", batch_id, f"{type(error).__name__}: {error}")
@@ -263,26 +247,21 @@ class _Request:
 class _Batch:
     """A dispatched coalesced batch, retained until its results return.
 
-    ``transport`` is ``"shm"`` or ``"pickle"``.  A shm batch carries no
-    parent-side image array — its data lives in the ring at ``lease``
-    ``(offset, in_shape, out_offset, out_shape)`` until the lease is
-    freed; a pickle batch keeps ``images`` for crash re-dispatch.
+    The batch carries no parent-side image array: its data lives in the
+    shard's ring at ``lease`` ``(offset, out_offset, out_shape)`` until
+    the lease is freed, which is also what a crash re-dispatch sends.
     """
 
-    __slots__ = ("id", "shard", "key", "requests", "images", "n",
-                 "dispatched", "transport", "lease",
-                 "traced", "gathered", "write_started", "sent")
+    __slots__ = ("id", "shard", "key", "requests", "n", "dispatched",
+                 "lease", "traced", "gathered", "write_started", "sent")
 
     def __init__(self, batch_id: int, shard: int, key: str,
-                 requests: list[_Request], images: np.ndarray | None,
-                 n: int, transport: str = "pickle", lease: tuple | None = None):
+                 requests: list[_Request], n: int, lease: tuple):
         self.id = batch_id
         self.shard = shard
         self.key = key
         self.requests = requests
-        self.images = images
         self.n = n
-        self.transport = transport
         self.lease = lease
         self.dispatched = time.perf_counter()
         # Trace stamps (absolute perf_counter, parent side); only batches
@@ -313,7 +292,7 @@ class _Shard:
         self.load_failures: dict[str, str] = {}
         self.stats = ShardStats()
         self.failed = False  # exceeded the restart budget
-        self.conn_dead = False  # EOF seen; awaiting monitor restart
+        self.conn_dead = False  # EOF or a fault seen; awaiting restart
         self.ring = None  # parent-held ShmRing; survives restarts
         self.generation = 0  # bumped per (re)spawn; stamps batch records
 
@@ -344,18 +323,17 @@ class LocalizationServer:
     restart_limit:
         Restarts allowed per shard before it is marked failed.
     transport:
-        ``"shm"`` (default) moves batch payloads through per-shard
+        Only ``"shm"``: batch payloads move through per-shard
         shared-memory rings (:mod:`repro.serve.shm`) and only small
-        fixed records through the task pipes; ``"pickle"`` ships the
-        ndarrays themselves.  ``"shm"`` silently degrades to ``"pickle"`` on
-        platforms without ``os.memfd_create`` (the reason
-        is surfaced under ``stats()["transport"]["fallback_reason"]``).
+        fixed records through the task pipes.  Any other value raises
+        ``ValueError``; a host without ``os.memfd_create`` raises
+        ``RuntimeError``.
     ring_bytes:
         Per-shard ring size; default sizes ``ring_slots`` full
-        batches of the largest loaded model geometry (floor 2 MiB).
-    spill_wait_ms:
-        How long a dispatch may block on a full ring before spilling the
-        batch to the pickle transport (backpressure bound — never drop).
+        batches of the largest loaded model geometry (floor 2 MiB).  An
+        explicit size must hold one full ``max_batch`` batch of every
+        loaded model (``ValueError`` otherwise, here and in
+        :meth:`load_model`).
     trace_sample:
         Fraction of requests to trace end-to-end (0.0 — the default —
         disables tracing entirely; 1.0 traces every request).  Sampling
@@ -422,7 +400,6 @@ class LocalizationServer:
         transport: str = "shm",
         ring_bytes: int | None = None,
         ring_slots: int = 4,
-        spill_wait_ms: float = 50.0,
         trace_sample: float = 0.0,
         trace_buffer: int = 256,
         profile: bool = False,
@@ -439,9 +416,12 @@ class LocalizationServer:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pickle', got {transport!r}"
+        if transport != "shm":
+            raise ValueError(f"transport must be 'shm', got {transport!r}")
+        if not shm_transport.HAVE_SHM:
+            raise RuntimeError(
+                "LocalizationServer needs os.memfd_create (Linux) for its "
+                "shared-memory batch rings"
             )
         self.workers = int(workers)
         self.max_delay_ms = float(max_delay_ms)
@@ -449,16 +429,13 @@ class LocalizationServer:
         self.health_interval_s = float(health_interval_s)
         self.startup_timeout_s = float(startup_timeout_s)
 
-        self._transport_fallback: str | None = None
-        if transport == "shm" and not shm_transport.HAVE_SHM:
-            transport = "pickle"
-            self._transport_fallback = (
-                "os.memfd_create unavailable on this platform"
-            )
         self.transport = transport
         self.ring_bytes = None if ring_bytes is None else int(ring_bytes)
         self.ring_slots = max(1, int(ring_slots))
-        self.spill_wait_ms = float(spill_wait_ms)
+        #: Bytes in each shard's ring; None until start() sizes an
+        #: automatic ring to the models loaded by then.
+        self._ring_size = (None if ring_bytes is None
+                           else shm_transport.align(self.ring_bytes))
         self._transport_totals = TransportStats()
 
         self.tracer = Tracer(trace_sample, capacity=trace_buffer)
@@ -566,6 +543,8 @@ class LocalizationServer:
             max_batch if max_batch is not None else 32
         )
         self._policy = AdaptiveBatchPolicy(self.max_batch, self.max_delay_ms)
+        for info in self._model_info.values():
+            self._check_ring_holds(info, self.max_batch)
 
     @staticmethod
     def _as_session(source) -> InferenceSession:
@@ -633,8 +612,12 @@ class LocalizationServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
+        self._ring_size = shm_transport.align(self._ring_capacity())
         for index in range(self.workers):
             shard = _Shard(index)
+            # The parent holds the ring for the server's lifetime: it
+            # survives restarts, and re-dispatched batch data lives in it.
+            shard.ring = shm_transport.ShmRing(self._ring_size)
             self._shards.append(shard)
             self._spawn_worker(shard)
         for shard in self._shards:  # every worker boots while we write
@@ -693,39 +676,41 @@ class LocalizationServer:
         self._lifecycle_hooks.append(hook)
 
     # -- shared-memory ring sizing --------------------------------------
-    def _batch_bytes(self, info: dict) -> int:
-        """Ring bytes one full batch of ``info``'s geometry needs
-        (aligned input block + aligned output block)."""
+    @staticmethod
+    def _batch_bytes(info: dict, n: int) -> int:
+        """Ring bytes a batch of ``n`` samples of ``info``'s geometry
+        needs (aligned input block + aligned output block)."""
         frame = info["image_size"] * info["image_size"] * info["channels"] * 4
-        return (shm_transport.align(self.max_batch * frame)
-                + shm_transport.align(self.max_batch * info["num_classes"] * 4))
+        return (shm_transport.align(n * frame)
+                + shm_transport.align(n * info["num_classes"] * 4))
 
     def _ring_capacity(self) -> int:
         if self.ring_bytes is not None:
             return self.ring_bytes  # explicit size wins (tests force tiny rings)
-        per_batch = [self._batch_bytes(info)
+        per_batch = [self._batch_bytes(info, self.max_batch)
                      for info in self._model_info.values()]
         need = max(per_batch) * self.ring_slots if per_batch else 0
         return max(need, shm_transport.MIN_RING_BYTES)
+
+    def _check_ring_holds(self, info: dict, n: int) -> None:
+        """Refuse a batch of ``n`` samples of ``info``'s geometry that no
+        ring lease could ever hold: it would wait for space forever."""
+        need = self._batch_bytes(info, n)
+        if self._ring_size is not None and need > self._ring_size:
+            raise ValueError(
+                f"a batch of {n} {info['image_size']}x{info['image_size']}x"
+                f"{info['channels']} sample(s) needs {need} ring bytes, but "
+                f"each shard ring holds {self._ring_size}"
+            )
 
     def _spawn_worker(self, shard: _Shard) -> None:
         """Create the task/result pipes and process for ``shard`` and post
         every currently loaded snapshot to it (the caller flushes them
         once it has released the bookkeeping lock).
 
-        The shard's ring is created once and *survives* restarts (the
-        parent holds it, and re-dispatched batch data lives in it);
-        each spawn bumps the shard generation, so batch records minted for
+        Each spawn bumps the shard generation, so batch records minted for
         a dead worker can never be honored by its replacement without
         being re-stamped."""
-        if self.transport == "shm" and shard.ring is None:
-            try:
-                shard.ring = shm_transport.ShmRing(self._ring_capacity())
-            except Exception as error:  # out of memory or descriptors
-                self.transport = "pickle"
-                self._transport_fallback = (
-                    f"ring creation failed: {type(error).__name__}: {error}"
-                )
         shard.generation += 1
         task_recv, shard.task_conn = self._ctx.Pipe(duplex=False)
         receive_conn, send_conn = self._ctx.Pipe(duplex=False)
@@ -855,18 +840,15 @@ class LocalizationServer:
         if shard.task_conn is not None:
             shard.outbox.append((shard.task_conn, message))
 
-    def _flush(self, shard: _Shard, wait: bool = True) -> None:
+    def _flush(self, shard: _Shard) -> None:
         """Write ``shard``'s queued messages in the order they were posted.
 
         Never called under the bookkeeping lock: a pipe write blocks while
         the pipe is full, and the worker only empties it while the
         collector — which needs that lock — takes its results.  Nor from
         the collector thread, for the same reason.  Whoever holds the
-        send lock writes every queued message, so a poster that finds it
-        taken may leave its message to the holder (``wait=False``)."""
-        if not shard.send_lock.acquire(blocking=wait):
-            return
-        try:
+        send lock writes every queued message."""
+        with shard.send_lock:
             outbox = shard.outbox
             while outbox:
                 try:
@@ -882,8 +864,6 @@ class LocalizationServer:
                         conn.send(message)
                 except (OSError, ValueError):
                     pass  # dead worker: the restart re-sends what matters
-        finally:
-            shard.send_lock.release()
 
     def _send_stop(self, shard: _Shard) -> None:
         """Best-effort ``("stop",)`` that never waits on a full pipe: a
@@ -900,9 +880,9 @@ class LocalizationServer:
             shard.send_lock.release()
 
     def _free_lease(self, batch: _Batch) -> None:
-        """Release a shm batch's ring lease (no-op for pickle batches);
-        called under the bookkeeping lock."""
-        if batch.transport != "shm" or batch.lease is None:
+        """Release a batch's ring lease (once); called under the
+        bookkeeping lock."""
+        if batch.lease is None:
             return
         ring = self._shards[batch.shard].ring
         if ring is not None:
@@ -942,6 +922,7 @@ class LocalizationServer:
         with self._lock:
             if key in self._snapshots:
                 raise ValueError(f"route key {key!r} already loaded")
+            self._check_ring_holds(snapshot_info(snapshot), self.max_batch)
             info = self._register(key, snapshot, model=model, version=version)
             if self._started:
                 for shard in self._shards:
@@ -1090,15 +1071,17 @@ class LocalizationServer:
         the bookkeeping lock held, so it must only hand off (enqueue +
         wake), never block or call back into the server.
 
+        An empty request, or one too large for a shard ring to hold,
+        raises ``ValueError`` like a wrong shape does.
+
         When nothing is queued, a live shard is idle and no elastic
         shares are set, the request is dispatched on the caller's thread:
         it is written to that shard's ring and its record to the shard's
         task pipe before ``submit`` returns, without waking the
-        dispatcher.  An idle shard has no live leases, so the ring write
-        does not wait for space (a race that makes it busy first is
-        bounded by ``spill_wait_ms``), and the record write only waits
-        while the pipe is full.  Queued or coalesced work goes through
-        the dispatcher."""
+        dispatcher.  The ring write never waits for space: if a race
+        filled the ring first, the request is queued for the dispatcher
+        instead.  The record write only waits while the pipe is full.
+        Queued or coalesced work goes through the dispatcher."""
         entered = time.perf_counter()  # the trace's enqueue span starts here
         if not self._started:
             raise RuntimeError("server not started (call start() or use `with`)")
@@ -1118,7 +1101,12 @@ class LocalizationServer:
             )
         if deadline_ms is None:
             deadline_ms = policy.deadline_ms
-        x = self._coerce(images, self._model_info[route])
+        info = self._model_info[route]
+        x = self._coerce(images, info)
+        if not len(x):
+            raise ValueError("a request needs at least one image, got "
+                             f"{np.shape(images)}")
+        self._check_ring_holds(info, len(x))
         deadline = (time.perf_counter() + float(deadline_ms) / 1e3
                     if deadline_ms is not None else None)
         request = _Request(next(self._request_ids), x, model, entered,
@@ -1192,7 +1180,7 @@ class LocalizationServer:
                     self._rejected += 1
             raise reject
         if inline is not None:
-            self._dispatch(inline, [request])
+            self._dispatch(inline, [request], inline=True)
         return request.id
 
     def result(self, request_id: int, timeout: float | None = None) -> np.ndarray:
@@ -1494,12 +1482,22 @@ class LocalizationServer:
                 self._staged[request.id] = request
             return key, taken
 
-    def _dispatch(self, key: str, requests: list[_Request]) -> None:
+    def _dispatch(self, key: str, requests: list[_Request],
+                  inline: bool = False) -> None:
         """Send staged ``requests`` (one route) to the least-loaded shard
-        as one batch.  Runs on the dispatcher thread or inline in
-        :meth:`submit`; the bookkeeping moves the requests from _staged to
-        _in_flight under the lock, and the task-pipe write happens after
-        the lock is released."""
+        as one batch written into its ring.  Runs on the dispatcher thread
+        or, with ``inline``, in :meth:`submit`; the bookkeeping moves the
+        requests from _staged to _in_flight under the lock, and the
+        task-pipe write happens after the lock is released.
+
+        A full ring is backpressure.  The dispatcher thread waits for the
+        collector to free a lease, however long that takes, while the
+        backlog stays in ``_pending``: the queue bounds and shedding act
+        on it at submit, and every wake (at least every
+        :data:`_RING_TICK_S`) culls the queued requests whose deadline
+        lapsed.  An inline dispatch never waits: it is on the caller's
+        thread (the gateway's event loop), so it queues its request for
+        the dispatcher instead."""
         n = sum(r.n for r in requests)
         info = self._model_info.get(key)
         # A batch is traced when any of its requests sampled tracing; the
@@ -1507,15 +1505,6 @@ class LocalizationServer:
         # taken then, so untraced dispatches pay one boolean check.
         traced = self.tracer.enabled and any(r.traced for r in requests)
         gathered = time.perf_counter() if traced else 0.0
-        # A pure-pickle server assembles outside the bookkeeping lock (the
-        # stack is a full-batch memcpy); the shm path must assemble under
-        # it — the destination is a ring lease only the lock hands out —
-        # and a *spilled* batch assembles under it too, a price only the
-        # rare overflow path pays.
-        assembled = None
-        if self.transport != "shm" and info is not None:
-            assembled = assemble_images([r.images for r in requests])
-        deadline = time.perf_counter() + self.spill_wait_ms / 1e3
         with self._lock:
             while True:
                 shards = [s for s in self._shards if not s.failed]
@@ -1527,58 +1516,42 @@ class LocalizationServer:
                     self._unstage(requests)
                     return
                 shard = min(shards, key=lambda s: (s.outstanding, s.index))
-                if self.transport != "shm" or shard.ring is None:
-                    transport, offset = "pickle", None
-                    break
                 in_shape = (n, info["image_size"], info["image_size"],
                             info["channels"])
                 out_shape = (n, info["num_classes"])
                 in_bytes = shm_transport.align(4 * math.prod(in_shape))
-                out_bytes = shm_transport.align(4 * math.prod(out_shape))
-                oversized = in_bytes + out_bytes > shard.ring.capacity
-                offset = None if oversized \
-                    else shard.ring.allocate(in_bytes + out_bytes)
+                offset = shard.ring.allocate(
+                    in_bytes + shm_transport.align(4 * math.prod(out_shape)))
                 if offset is not None:
-                    transport = "shm"
                     break
-                remaining = deadline - time.perf_counter()
-                # A batch that can never fit (bigger than the whole ring)
-                # spills immediately — waiting cannot help it.
-                if oversized or self._stopping or remaining <= 0:
-                    # Bounded backpressure exhausted: spill this batch to
-                    # the pickle transport rather than stall or drop it.
-                    transport, offset = "pickle", None
-                    self._transport_totals.record_spill()
-                    self._route_stats_for(key).transport.record_spill()
-                    break
+                if inline:
+                    with self._cond:
+                        for request in requests:
+                            self._staged.pop(request.id, None)
+                            self._account_pending(request)
+                        self._pending.extendleft(reversed(requests))
+                        self._cond.notify()
+                    return
+                if self._stopping:
+                    for request in requests:
+                        self._finish_error(request, "server closed")
+                    self._unstage(requests)
+                    return
                 # Wait (releasing _lock) for the collector to free leases;
                 # shard health may change meanwhile, so re-pick on wake.
-                self._ring_cond.wait(timeout=remaining)
+                self._ring_cond.wait(timeout=_RING_TICK_S)
+                with self._cond:
+                    self._cull_expired(time.perf_counter())
 
-            payload_bytes = n * (
-                info["image_size"] * info["image_size"] * info["channels"]
-                + info["num_classes"]
-            ) * 4
             write_started = time.perf_counter() if traced else 0.0
             batch_id = next(self._batch_ids)
-            if transport == "shm":
-                # Assemble the batch *in place*: request blocks are written
-                # straight into the ring lease — no stacked temporary, no
-                # pickled payload; only a fixed record crosses the pipe.
-                lease = (offset, in_shape, offset + in_bytes, out_shape)
-                assemble_images([r.images for r in requests],
-                                out=shard.ring.view(offset, in_shape))
-                images = None
-                message = shm_transport.batch_record(
-                    batch_id, offset, offset + in_bytes, n,
-                    shard.generation, traced, key)
-            else:
-                lease = None
-                images = assembled if assembled is not None \
-                    else assemble_images([r.images for r in requests])
-                message = ("batch", batch_id, key, images, traced)
-            batch = _Batch(batch_id, shard.index, key, requests,
-                           images, n, transport=transport, lease=lease)
+            # Assemble the batch *in place*: request blocks are written
+            # straight into the ring lease; only a fixed record crosses
+            # the pipe.
+            assemble_images([r.images for r in requests],
+                            shard.ring.view(offset, in_shape))
+            lease = (offset, offset + in_bytes, out_shape)
+            batch = _Batch(batch_id, shard.index, key, requests, n, lease)
             batch.traced = traced
             batch.gathered = gathered
             batch.write_started = write_started
@@ -1587,12 +1560,14 @@ class LocalizationServer:
             self._track_outstanding(requests, +1)
             shard.outstanding += batch.n
             shard.stats.record_dispatch(batch.n)
-            self._transport_totals.record_batch(transport, payload_bytes)
-            self._route_stats_for(key).transport.record_batch(
-                transport, payload_bytes)
-            # A broken pipe drops the message and leaves the batch in
+            payload_bytes = 4 * (math.prod(in_shape) + math.prod(out_shape))
+            self._transport_totals.record_batch(payload_bytes)
+            self._route_stats_for(key).transport.record_batch(payload_bytes)
+            # A broken pipe drops the record and leaves the batch in
             # _in_flight: the monitor re-dispatches it on restart.
-            self._post(shard, message)
+            self._post(shard, shm_transport.batch_record(
+                batch_id, offset, offset + in_bytes, n, shard.generation,
+                traced, key))
             if traced:
                 batch.sent = time.perf_counter()
         self._flush(shard)
@@ -1642,23 +1617,24 @@ class LocalizationServer:
                         data = conn.recv_bytes()
                     except (EOFError, OSError, ValueError):
                         with self._lock:
-                            # Only flag the shard if this is still its live
-                            # connection — a stale conn from before a restart
-                            # must not condemn the healthy replacement.
-                            if conn is shard.result_conn \
-                                    and not shard.conn_dead:
-                                shard.conn_dead = True  # monitor restarts it
-                                self._conn_epoch += 1
+                            self._mark_dead(shard, conn)
                         continue
-                    self._handle_result(shard, data)
+                    self._handle_result(shard, conn, data)
         finally:
             if selector is not None:
                 selector.close()
 
-    def _handle_result(self, shard: _Shard, data: bytes) -> None:
+    def _mark_dead(self, shard: _Shard, conn) -> None:
+        """Flag ``shard`` for the monitor to restart (under the bookkeeping
+        lock) — only while ``conn`` is still its live result pipe: a stale
+        one from before a restart must not condemn the replacement."""
+        if conn is shard.result_conn and not shard.conn_dead:
+            shard.conn_dead = True
+            self._conn_epoch += 1
+
+    def _handle_result(self, shard: _Shard, conn, data: bytes) -> None:
         if data[:1] == shm_transport.DONE_TAG:
-            message = ("done", shm_transport.read_done_record(data), None,
-                       None, None)
+            message = ("done", shm_transport.read_done_record(data), None)
         else:
             message = pickle.loads(data)
         kind = message[0]
@@ -1677,7 +1653,7 @@ class LocalizationServer:
                     shard.ready.set()
             return
         if kind == "done":
-            _, batch_id, logits, _compute_s, timing = message
+            _, batch_id, timing = message
             with self._lock:
                 batch = self._in_flight.pop(batch_id, None)
                 if batch is None:
@@ -1690,14 +1666,12 @@ class LocalizationServer:
                 current.stats.record_complete(
                     batch.n, (now - batch.dispatched) * 1e3
                 )
-                if batch.transport == "shm":
-                    # Gather the logits block from the ring; the lease is
-                    # freed right after the per-request slices are copied
-                    # out, so the block becomes reusable immediately.
-                    _offset, _in_shape, out_offset, out_shape = batch.lease
-                    logits = np.array(
-                        current.ring.view(out_offset, out_shape), copy=True
-                    )
+                # Gather the logits block from the ring; the lease is freed
+                # right after the per-request slices are copied out, so the
+                # block becomes reusable immediately.
+                _offset, out_offset, out_shape = batch.lease
+                logits = np.array(current.ring.view(out_offset, out_shape),
+                                  copy=True)
                 collected = time.perf_counter() if batch.traced else now
                 self._free_lease(batch)
                 route = self._route_stats_for(batch.key)
@@ -1724,24 +1698,23 @@ class LocalizationServer:
         if kind == "error":
             _, batch_id, text = message
             with self._lock:
-                batch = self._in_flight.pop(batch_id, None)
+                batch = self._in_flight.get(batch_id)
                 if batch is None:
                     return
                 current = self._shards[batch.shard]
+                current.stats.record_error()
+                if text.startswith("ShmTransportError") \
+                        and not self._stopping:
+                    # Parent and worker disagree on the shard's generation:
+                    # a fault of the shard, not of the batch.  The batch
+                    # stays in flight; the restart re-mints every lease
+                    # under the replacement's generation.
+                    self._mark_dead(current, conn)
+                    return
+                del self._in_flight[batch_id]
                 current.outstanding = max(0, current.outstanding - batch.n)
                 self._track_outstanding(batch.requests, -1)
                 self._wake_if_idle(current)
-                current.stats.record_error()
-                if batch.transport == "shm" \
-                        and text.startswith("ShmTransportError") \
-                        and not self._stopping:
-                    # The *transport* failed (stale generation, a worker
-                    # without a ring), not the model: recover the batch
-                    # data from the parent's ring and re-dispatch over
-                    # pickle — requests must never be lost to transport
-                    # trouble.
-                    self._redispatch_as_pickle(batch, current)
-                    return
                 self._free_lease(batch)
                 if self._on_batch_error(batch, text):
                     return  # handled (e.g. canary retry on the incumbent)
@@ -1758,30 +1731,6 @@ class LocalizationServer:
         if shard.outstanding == 0 and self._pending:
             with self._cond:
                 self._cond.notify()
-
-    def _redispatch_as_pickle(self, batch: _Batch, shard: _Shard) -> None:
-        """Convert a shm batch whose record the worker rejected into a
-        pickle batch and post it; called by the collector under the
-        bookkeeping lock.  The collector never writes a task pipe (see
-        :meth:`_flush`): the monitor thread sends it on its next tick."""
-        offset, in_shape, _out_offset, _out_shape = batch.lease
-        # Re-stamp the write for traced batches: the failed shm attempt is
-        # absorbed into this (monotone, contiguous) pickle_write span.
-        if batch.traced:
-            batch.write_started = time.perf_counter()
-        batch.images = np.array(shard.ring.view(offset, in_shape), copy=True)
-        self._free_lease(batch)
-        batch.transport = "pickle"
-        batch.dispatched = time.perf_counter()
-        self._in_flight[batch.id] = batch
-        self._track_outstanding(batch.requests, +1)
-        shard.outstanding += batch.n
-        self._transport_totals.record_spill()
-        self._route_stats_for(batch.key).transport.record_spill()
-        self._post(shard, ("batch", batch.id, batch.key, batch.images,
-                           batch.traced))
-        if batch.traced:
-            batch.sent = time.perf_counter()
 
     def _on_batch_done(self, batch: _Batch) -> None:
         """Hook, called under the bookkeeping lock after a batch completes;
@@ -1855,10 +1804,6 @@ class LocalizationServer:
                     or shard.conn_dead
                 if crashed and not shard.failed and not self._stopping:
                     self._restart_shard(shard)
-                elif shard.outbox:
-                    # Posted by the collector (a pickle re-dispatch); a
-                    # current holder of the send lock writes it anyway.
-                    self._flush(shard, wait=False)
 
     def _restart_shard(self, shard: _Shard) -> None:
         """Replace a crashed worker and re-dispatch its unfinished batches.
@@ -1903,8 +1848,8 @@ class LocalizationServer:
             # Everything this shard had not finished goes back on its pipe,
             # behind the fresh load messages — order guarantees the restored
             # sessions exist before the first re-dispatched batch runs.  A
-            # shm batch's lease survived the crash (the parent owns the
-            # ring), so only its record is re-minted, stamped with the
+            # batch's lease survived the crash (the parent owns the ring),
+            # so only its record is re-minted, stamped with the
             # replacement worker's generation.
             redispatched = [b for b in self._in_flight.values()
                             if b.shard == shard.index]
@@ -1940,15 +1885,10 @@ class LocalizationServer:
                 batch.dispatched = time.perf_counter()
                 if batch.traced:
                     batch.write_started = batch.dispatched
-                if batch.transport == "shm" and batch.lease is not None:
-                    offset, _in_shape, out_offset, _out_shape = batch.lease
-                    message = shm_transport.batch_record(
-                        batch.id, offset, out_offset, batch.n,
-                        shard.generation, batch.traced, batch.key)
-                else:
-                    message = ("batch", batch.id, batch.key, batch.images,
-                               batch.traced)
-                self._post(shard, message)
+                offset, out_offset, _out_shape = batch.lease
+                self._post(shard, shm_transport.batch_record(
+                    batch.id, offset, out_offset, batch.n, shard.generation,
+                    batch.traced, batch.key))
                 if batch.traced:
                     batch.sent = time.perf_counter()
 
@@ -1961,10 +1901,10 @@ class LocalizationServer:
         phases = timing[3] if timing is not None else None
         spans = spans_from_stamps(
             request.enqueued, batch.gathered, batch.write_started,
-            batch.sent, collected, collected, batch.transport, worker=worker,
+            batch.sent, collected, collected, worker=worker,
         )
         trace = RequestTrace(request.id, request.model, request.n,
-                             batch.transport, batch.shard, spans,
+                             self.transport, batch.shard, spans,
                              compute_phases=phases)
         # ``complete`` ends once the trace is assembled: the request waits
         # for that too.  The dict form is built by the reader.
@@ -2032,13 +1972,8 @@ class LocalizationServer:
             transport = self._transport_totals
             emit("serve_transport_batches_total", "counter",
                  transport.shm_batches, transport="shm")
-            emit("serve_transport_batches_total", "counter",
-                 transport.pickle_batches, transport="pickle")
             emit("serve_transport_bytes_total", "counter",
                  transport.shm_bytes, transport="shm")
-            emit("serve_transport_bytes_total", "counter",
-                 transport.pickle_bytes, transport="pickle")
-            emit("serve_transport_spills_total", "counter", transport.spills)
             for key, route in self._route_stats.items():
                 emit("serve_route_requests_total", "counter",
                      route.completed, route=key, outcome="completed")
@@ -2065,7 +2000,7 @@ class LocalizationServer:
                      shard.stats.restarts, shard=label)
                 emit_hist("serve_shard_service_ms", shard.stats.service_ms,
                           shard=label)
-                if shard.ring is not None:
+                if shard.ring is not None:  # None once closed
                     ring = shard.ring.stats()
                     emit("serve_ring_used_bytes", "gauge",
                          ring["used_bytes"], shard=label)
@@ -2131,9 +2066,10 @@ class LocalizationServer:
                            for key, info in self._model_info.items()},
                 "transport": {
                     "mode": self.transport,
-                    "fallback_reason": self._transport_fallback,
-                    "spill_wait_ms": self.spill_wait_ms,
                     **self._transport_totals.summary(),
+                    # Read by perfbench; nothing is pickled or spilled.
+                    "pickle_batches": 0,
+                    "spills": 0,
                     "rings": [
                         shard.ring.stats() if shard.ring is not None else None
                         for shard in self._shards

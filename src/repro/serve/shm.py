@@ -1,10 +1,9 @@
-"""Zero-copy shared-memory ring transport for serving batch payloads.
+"""Zero-copy shared-memory rings: how every serving batch reaches a worker.
 
-The pickle transport ships every micro-batch across the worker boundary
-twice — ``("batch", id, key, images)`` pickles the float32 image block
-onto the shard's task pipe, and the prediction block pickles back over
-the result pipe.  ``BENCH_serving.json`` shows that marshalling as the
-dominant single-core dispatch overhead.  This module removes it:
+Pickling each micro-batch's float32 image block onto the shard's task
+pipe, and the prediction block back, costs a marshalling pass each way
+(``BENCH_serving.json``'s ``transport`` section measures it).  The rings
+remove it:
 
 * the dispatcher writes each batch's image block straight into a
   per-shard :class:`ShmRing` (one anonymous shared mapping per worker:
@@ -35,9 +34,10 @@ entry and the allocation restarts at offset 0.  Out-of-order frees (a
 re-dispatched batch finishing late) are deferred — the range is marked
 freed and reclaimed once everything older is freed too.  When no
 contiguous range fits, ``allocate`` returns ``None`` and the dispatcher
-applies backpressure: it waits for completions to free space and, past a
-bounded wait, *spills* the batch to the pickle transport — a full ring
-degrades throughput, never correctness.
+applies backpressure: it waits for completions to free space while the
+backlog stays in the server's admission queue.  The server refuses, at
+construction, ``load_model`` and ``submit``, any batch no ring could
+ever hold, so a wait lasts only until in-flight batches complete.
 
 Crash safety
 ------------
@@ -46,15 +46,15 @@ cannot take one away, and the batch data a crashed worker was holding is
 still in place, so the restart path re-dispatches the *same* lease under
 the worker's new ``generation``.  Batch records are generation-stamped; a
 worker rejects a record minted for a different generation with
-:class:`ShmTransportError`, and the parent falls back to re-dispatching
-that batch over pickle — requests are never lost to transport trouble.
+:class:`ShmTransportError`, and the parent restarts that shard, which
+re-mints every in-flight lease under the replacement's generation.
 Cleanup after a crash is the kernel's: a ring's memory goes with the last
 process that maps it or holds its descriptor, and there is no
 ``/dev/shm`` name to leak, so no resource-tracker process is needed.
 
-Platforms without ``os.memfd_create`` are detected at import:
-:data:`HAVE_SHM` is False and :class:`repro.serve.LocalizationServer`
-silently serves over the pickle transport instead.
+Rings need ``os.memfd_create`` (Linux).  :data:`HAVE_SHM` says whether
+this host has it; :class:`repro.serve.LocalizationServer` refuses to
+start without it.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class ShmTransportError(RuntimeError):
     """A shared-memory batch record could not be honored by the worker.
 
     The parent recognizes this error *by name prefix* in the worker's
-    error message and re-dispatches the affected batch over the pickle
-    transport instead of failing its requests.
+    error message and restarts the shard instead of failing the batch's
+    requests.
     """
 
 
@@ -270,9 +270,9 @@ reduction.register(ShmRing, _reduce_ring)
 
 
 # -- records (what actually crosses the pipes) ---------------------------
-#: First byte of a shm batch record (parent -> worker task pipe).
+#: First byte of a batch record (parent -> worker task pipe).
 BATCH_TAG = b"B"
-#: First byte of an untraced shm ``done`` record (worker -> result pipe).
+#: First byte of an untraced ``done`` record (worker -> result pipe).
 DONE_TAG = b"D"
 # A pickled message starts with the PROTO opcode (0x80), so the first byte
 # alone tells a record from a pickle on either pipe.
@@ -301,7 +301,7 @@ def read_batch_record(record: bytes) -> tuple:
 
 
 def done_record(batch_id: int) -> bytes:
-    """The result-pipe message of an untraced shm batch: its logits are
+    """The result-pipe message of an untraced batch: its logits are
     already in the lease's output block."""
     return _DONE.pack(DONE_TAG, batch_id)
 
@@ -311,15 +311,12 @@ def read_done_record(record: bytes) -> int:
     return _DONE.unpack_from(record)[1]
 
 
-def open_batch(ring: ShmRing | None, in_offset: int, in_shape,
+def open_batch(ring: ShmRing, in_offset: int, in_shape,
                out_offset: int, out_shape, stamp: int,
                generation: int) -> tuple[np.ndarray, np.ndarray]:
     """Worker-side gather: check the record's generation ``stamp``, then
     return views of the input block and of the logits block.  Raises
-    :class:`ShmTransportError` on a generation mismatch or when the worker
-    was started without a ring."""
-    if ring is None:
-        raise ShmTransportError("worker has no ring")
+    :class:`ShmTransportError` on a generation mismatch."""
     if int(stamp) != int(generation):
         raise ShmTransportError(
             f"stale record generation {stamp} "

@@ -8,7 +8,7 @@ summary keys, and the counter bundles (:class:`TransportStats`,
 :class:`SnapshotTransport`) store their tallies in
 :class:`repro.obs.metrics.Counter` cells while keeping their historical
 attribute and ``summary()`` wire shapes (``BENCH_serving.json`` embeds
-them; only additive keys are allowed).
+them).
 
 All recording methods are called under the server's bookkeeping lock, so
 the classes themselves stay lock-free; ``summary()`` methods return plain
@@ -85,42 +85,32 @@ class SnapshotTransport:
 
 
 class TransportStats:
-    """Per-scope accounting of how batch payloads crossed the worker
-    boundary: shared-memory descriptors vs pickled ndarrays.
+    """Per-scope accounting of the batch payloads the shared-memory rings
+    carried across the worker boundary.
 
     One instance per route key (embedded in :class:`RouteStats`) plus one
-    server-wide rollup.  ``bytes`` counts the raw float32 payload (images
-    plus logits) — the same quantity either transport must move — so the
-    shm/pickle split reads directly as "how many bytes skipped pickling".
-    ``spills`` counts batches that *wanted* the ring but fell back to
-    pickle under backpressure (ring full past the bounded wait).
+    server-wide rollup.  ``shm_bytes`` counts the raw float32 payload
+    (images plus logits) that crossed without a pickle pass.
     """
 
-    _CELLS = ("shm_batches", "shm_bytes", "pickle_batches", "pickle_bytes",
-              "spills")
-
     def __init__(self):
-        self._cells = {name: Counter() for name in self._CELLS}
+        self._batches = Counter()
+        self._bytes = Counter()
 
-    def __getattr__(self, name: str):
-        cells = object.__getattribute__(self, "_cells")
-        if name in cells:
-            return int(cells[name].value)
-        raise AttributeError(name)
+    @property
+    def shm_batches(self) -> int:
+        return int(self._batches.value)
 
-    def record_batch(self, transport: str, payload_bytes: int) -> None:
-        if transport == "shm":
-            self._cells["shm_batches"].inc()
-            self._cells["shm_bytes"].inc(int(payload_bytes))
-        else:
-            self._cells["pickle_batches"].inc()
-            self._cells["pickle_bytes"].inc(int(payload_bytes))
+    @property
+    def shm_bytes(self) -> int:
+        return int(self._bytes.value)
 
-    def record_spill(self) -> None:
-        self._cells["spills"].inc()
+    def record_batch(self, payload_bytes: int) -> None:
+        self._batches.inc()
+        self._bytes.inc(int(payload_bytes))
 
     def summary(self) -> dict:
-        return {name: int(self._cells[name].value) for name in self._CELLS}
+        return {"shm_batches": self.shm_batches, "shm_bytes": self.shm_bytes}
 
 
 class RingCounters:
@@ -186,8 +176,7 @@ class RouteStats:
     :class:`repro.serve.LocalizationServer`); completions, failures and
     canary retries are tallied per key so ``stats()`` can report exactly
     where traffic went — the read-out the canary comparison runs on.
-    ``transport`` splits the route's payload bytes by how they crossed
-    the worker boundary (shared memory vs pickle).
+    ``transport`` counts the route's batches and payload bytes.
     """
 
     def __init__(self):

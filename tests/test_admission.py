@@ -236,14 +236,13 @@ class TestServerAdmission:
     def test_deadline_expires_in_queue(self, session, images):
         with LocalizationServer(session, workers=1, max_batch=8,
                                 max_delay_ms=5.0,
-                                ring_bytes=ONE_BATCH_RING,
-                                spill_wait_ms=400.0) as server:
+                                ring_bytes=ONE_BATCH_RING) as server:
             pid = server._shards[0].process.pid
             os.kill(pid, signal.SIGSTOP)
             try:
                 # Batch A takes the only ring lease; batch B then stalls
-                # the dispatcher in the ring's bounded backpressure wait,
-                # so C's deadline lapses while it is still queued.
+                # the dispatcher in the ring's backpressure wait, so C's
+                # deadline lapses while it is still queued.
                 a = server.submit(images[:8])
                 time.sleep(0.05)
                 b = server.submit(images[8:16])
@@ -265,7 +264,6 @@ class TestServerAdmission:
         policy = QosPolicy(priority="batch")
         with LocalizationServer(session, workers=1, max_batch=4,
                                 max_delay_ms=1.0, ring_bytes=ring,
-                                spill_wait_ms=400.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
             server.add_lifecycle_hook(
                 lambda kind, fields: events.append((kind, fields)))
@@ -477,9 +475,23 @@ class TestGatewayQos:
         import socket as socketlib
 
         server, gateway = stack
+
+        def admitted() -> int:
+            counters = server.stats()["admission"]["counters"]
+            return counters.get(DEFAULT_MODEL, {}).get("admitted", 0)
+
         with GatewayClient("127.0.0.1", gateway.port) as filler:
             with stopped_workers(server):
+                before = admitted()
                 ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
+                # The filler's frames are pipelined: the route is full only
+                # once the server has admitted all eight.  An HTTP request
+                # that overtook them would be admitted and wait behind the
+                # stopped worker instead of being refused.
+                deadline = time.monotonic() + 5.0
+                while admitted() < before + 8:
+                    assert time.monotonic() < deadline, "filler not admitted"
+                    time.sleep(0.005)
                 body = json.dumps(
                     {"fingerprint": self._fingerprint(5).tolist()}
                 ).encode()

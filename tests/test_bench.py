@@ -237,8 +237,6 @@ def test_gate_clause_fails(name, path, bad):
     target[path[-1]] = bad
     if path == ("scaling", "hardware_limited"):
         value["scaling"]["gate_2x_at_4_workers"] = False
-    if path[-1] == "reduction":
-        value["transport"]["end_to_end"]["speedup_shm_vs_pickle"] = 1.2
     assert len(bench.SECTIONS[name].gates(value)) == 1
 
 

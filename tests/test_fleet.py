@@ -131,7 +131,8 @@ class TestRegistry:
         registry.publish("m", session_a)
         entry = registry.get("m", 1)
         blob = registry._blob_path(entry.digest)
-        payload = bytearray(open(blob, "rb").read())
+        with open(blob, "rb") as handle:
+            payload = bytearray(handle.read())
         payload[len(payload) // 2] ^= 0xFF  # flip one byte mid-payload
         with open(blob, "wb") as handle:
             handle.write(payload)

@@ -1,7 +1,7 @@
 """The fused engine's compiled call plans: bit-identical logits against a
 fixture recorded before plans existed (``tests/data/plan_logits.npz``),
 snapshots untouched by prediction, one profiled path, ``predict_many``
-into a caller's buffer, the session-owned int8 cast panel, and each
+into a caller's buffer, empty batches, the session-owned int8 cast panel, and each
 kernel's call list against the NumPy expressions it replaced.
 """
 
@@ -138,6 +138,19 @@ class TestPredictManyOut:
         engine = _engine("float32")
         with pytest.raises(ValueError, match="expected"):
             engine.predict_many(_images(3), out=np.empty((3, 4), np.float32))
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_predict_and_predict_many_return_no_rows(self, name):
+        """No plan runs at batch size 0: both entry points answer an
+        empty batch with an empty ``(0, num_classes)`` float32 array."""
+        engine = _engine(name)
+        for method in (engine.predict, engine.predict_many):
+            logits = method(_images(0))
+            assert logits.shape == (0, engine.num_classes)
+            assert logits.dtype == np.float32
+        assert 0 not in engine._plans
 
 
 class TestSessionPanel:

@@ -302,8 +302,7 @@ class TestSpanChain:
     def test_contiguous_with_worker_stamps(self):
         spans = spans_from_stamps(
             enqueued=10.0, gathered=10.1, write_start=10.2, sent=10.3,
-            collected=10.9, done=11.0, transport="shm",
-            worker=(10.4, 10.45, 10.8),
+            collected=10.9, done=11.0, worker=(10.4, 10.45, 10.8),
         )
         names = [span.name for span in spans]
         assert names == ["enqueue", "batch_form", "shm_write", "worker_recv",
@@ -321,13 +320,13 @@ class TestSpanChain:
     def test_collapsed_without_worker_stamps(self):
         spans = spans_from_stamps(
             enqueued=0.0, gathered=0.1, write_start=0.2, sent=0.3,
-            collected=0.8, done=1.0, transport="pickle", worker=None,
+            collected=0.8, done=1.0, worker=None,
         )
         names = [span.name for span in spans]
-        assert names == ["enqueue", "batch_form", "pickle_write", "compute",
-                         "result_read", "complete"]
+        assert names == ["enqueue", "batch_form", "shm_write", "compute",
+                         "shm_read", "complete"]
         assert "worker_recv" not in names
-        trace = RequestTrace(2, None, 1, "pickle", None, spans)
+        trace = RequestTrace(2, None, 1, "shm", None, spans)
         assert trace.complete  # worker_recv slot is optional in the chain
 
     def test_clamping_never_yields_negative_spans(self):
@@ -335,8 +334,7 @@ class TestSpanChain:
         # overlapping) must clamp, not produce a negative span.
         spans = spans_from_stamps(
             enqueued=0.0, gathered=0.2, write_start=0.1, sent=0.3,
-            collected=0.6, done=0.5, transport="shm",
-            worker=(0.25, 0.3, 0.55),
+            collected=0.6, done=0.5, worker=(0.25, 0.3, 0.55),
         )
         assert all(span.end >= span.start for span in spans)
         assert sum(span.duration_ms for span in spans) == pytest.approx(600.0)
@@ -345,7 +343,7 @@ class TestSpanChain:
         trace = RequestTrace(3, "m", 1, "shm", 0,
                              [Span("enqueue", 0.0, 1.0)])
         assert not trace.complete
-        shuffled = spans_from_stamps(0.0, 0.1, 0.2, 0.3, 0.8, 1.0, "shm")
+        shuffled = spans_from_stamps(0.0, 0.1, 0.2, 0.3, 0.8, 1.0)
         assert not RequestTrace(4, "m", 1, "shm", 0,
                                 list(reversed(shuffled))).complete
 

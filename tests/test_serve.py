@@ -19,7 +19,6 @@ from repro.serve import (
     ShardStats,
 )
 from repro.serve.bench import run_fault_tolerance_drill
-from repro.serve.shm import ALIGNMENT
 from repro.vit import VitalConfig, VitalModel
 
 
@@ -218,6 +217,17 @@ class TestServerEndToEnd:
                 session.predict_many(images[:4]),
             )
 
+    def test_empty_request_is_refused_at_submit(self, session):
+        """No ring lease holds zero samples, so an empty request is
+        refused like a wrong shape, before anything is queued."""
+        with LocalizationServer(session, workers=1, max_delay_ms=0.5) as server:
+            with pytest.raises(ValueError, match="at least one image"):
+                server.submit(np.empty((0, 12, 12, 3), dtype=np.float32))
+            stats = server.stats()
+        assert stats["requests"]["submitted"] == 0
+        assert stats["queue_depth"] == 0
+        assert sum(shard["batches"] for shard in stats["shards"]) == 0
+
     def test_lifecycle_guards(self, session, images):
         server = LocalizationServer(session, workers=1)
         with pytest.raises(RuntimeError, match="not started"):
@@ -293,9 +303,9 @@ class TestProcessBoundary:
             dispatched_on, notified = [], []
             dispatch, notify = server._dispatch, server._cond.notify
 
-            def spy_dispatch(key, requests):
+            def spy_dispatch(key, requests, **kwargs):
                 dispatched_on.append(threading.current_thread())
-                dispatch(key, requests)
+                dispatch(key, requests, **kwargs)
 
             def spy_notify(*args):
                 notified.append(args)
@@ -377,28 +387,26 @@ class TestProcessBoundary:
             release.set()
             holder.join(timeout=5.0)
 
-    def test_restart_resends_more_than_a_pipe_of_spilled_batches(
+    def test_restart_resends_the_batches_held_in_the_ring(
             self, session, images):
-        """A tiny ring spills every batch to pickle (13.8 KB each); with
-        the worker stopped, more than a 64 KB pipe of them is in flight
-        when it is killed.  The restart writes them all again outside the
-        bookkeeping lock, so nothing deadlocks and nothing is lost."""
+        """With the worker stopped, twelve batches sit in its ring when it
+        is killed.  The restart re-mints all twelve records under the new
+        generation and writes them outside the bookkeeping lock, so
+        nothing deadlocks, nothing is lost and no lease leaks."""
         blocks = [np.roll(images, k, axis=0)[:8] for k in range(12)]
         reference = [session.predict_many(block) for block in blocks]
         outcome = {}
 
         def drill():
             with LocalizationServer(session, workers=1, max_batch=8,
-                                    max_delay_ms=1.0, ring_bytes=ALIGNMENT,
-                                    spill_wait_ms=1.0,
+                                    max_delay_ms=1.0,
                                     health_interval_s=0.05) as server:
                 pid = server._shards[0].process.pid
                 os.kill(pid, signal.SIGSTOP)
                 ids = [server.submit(block) for block in blocks]
                 deadline = time.monotonic() + 10.0
-                while server.stats()["in_flight_batches"] * blocks[0].nbytes \
-                        <= 64 * 1024:
-                    assert time.monotonic() < deadline, "pipe never filled"
+                while server.stats()["in_flight_batches"] < len(blocks):
+                    assert time.monotonic() < deadline, "ring never filled"
                     time.sleep(0.01)
                 os.kill(pid, signal.SIGKILL)
                 outcome["results"] = [server.result(i, timeout=30.0)
@@ -414,4 +422,6 @@ class TestProcessBoundary:
         stats = outcome["stats"]
         assert stats["requests"]["failed"] == 0
         assert stats["shards"][0]["restarts"] == 1
-        assert stats["transport"]["shm_batches"] == 0
+        transport = stats["transport"]
+        assert transport["shm_batches"] == len(blocks)
+        assert transport["rings"][0]["live_leases"] == 0

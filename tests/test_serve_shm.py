@@ -1,8 +1,8 @@
 """Shared-memory batch transport: ring allocator edge cases (wraparound,
 FIFO reclaim, out-of-order frees), the anonymous ring mapping under fork
-and spawn, server-level backpressure/spill, descriptor-generation safety
-after worker restarts, transport parity, teardown idempotence, and the
-lifetime of a serving host's processes.  End-to-end tests reuse the tiny
+and spawn, server-level backpressure and size limits, descriptor-generation
+safety after worker restarts, teardown idempotence, and the lifetime of a
+serving host's processes.  End-to-end tests reuse the tiny
 model from test_serve so the file stays fast on one core."""
 
 import json
@@ -267,11 +267,6 @@ class TestDescriptors:
             open_batch(object(), 0, (1, 12, 12, 3), 1792, (1, 5), 2,
                        generation=3)
 
-    def test_missing_ring_rejected(self):
-        with pytest.raises(ShmTransportError, match="no ring"):
-            open_batch(None, 0, (1, 12, 12, 3), 1792, (1, 5), 1,
-                       generation=1)
-
 
 @needs_shm
 class TestServerShmTransport:
@@ -294,89 +289,114 @@ class TestServerShmTransport:
         assert route["shm_batches"] == transport["shm_batches"]
         assert route["shm_bytes"] == transport["shm_bytes"] > 0
 
-    def test_explicit_pickle_transport_has_no_rings(self, session, images):
-        with LocalizationServer(session, workers=1, max_delay_ms=1.0,
-                                transport="pickle") as server:
-            served = server.predict_many(images[:8], timeout=30.0)
-            stats = server.stats()
-        assert served.shape == (8, 5)
-        transport = stats["transport"]
-        assert transport["mode"] == "pickle"
-        assert transport["rings"] == [None]
-        assert transport["shm_batches"] == 0
-        assert transport["pickle_batches"] >= 1
+    def test_pickle_transport_is_refused(self, session):
+        with pytest.raises(ValueError, match="'shm'"):
+            LocalizationServer(session, transport="pickle")
 
     def test_transport_validation(self, session):
         with pytest.raises(ValueError, match="transport"):
             LocalizationServer(session, transport="carrier-pigeon")
 
-    def test_backpressure_spills_to_pickle_never_drops(self, session, images):
-        """A ring too small for concurrent batches must block briefly and
-        then spill — every request still completes, bit-identically.
+    def test_host_without_memfd_is_refused(self, session, monkeypatch):
+        import repro.serve.shm as shm
 
-        The worker is stopped while the batches are submitted, so the
-        first batch holds the only ring lease and the next one must spill
-        after ``spill_wait_ms`` however fast the worker would have been."""
+        monkeypatch.setattr(shm, "HAVE_SHM", False)
+        with pytest.raises(RuntimeError, match="memfd_create"):
+            LocalizationServer(session)
+
+    def test_full_ring_backpressures_and_loses_nothing(self, session, images):
+        """A ring that holds one batch, a stopped worker and four batches:
+        the first takes the only lease, the dispatcher waits on the ring
+        with the second for as long as the worker is stopped, and the
+        other two stay in the admission queue.
+        Once the worker resumes every request completes, bit-identically,
+        and every lease is freed."""
         reference = session.predict_many(images)
         with LocalizationServer(
             session, workers=1, max_batch=8, max_delay_ms=0.5,
             ring_bytes=align(8 * 12 * 12 * 3 * 4) + align(8 * 5 * 4),
-            spill_wait_ms=1.0,  # give up on ring space almost immediately
         ) as server:
             pid = server._shards[0].process.pid
             os.kill(pid, signal.SIGSTOP)
             try:
                 ids = [server.submit(images[i : i + 8]) for i in range(0, 32, 8)]
                 deadline = time.monotonic() + 10.0
-                while (server.stats()["transport"]["spills"] < 1
-                       and time.monotonic() < deadline):
+                while (server.stats()["transport"]["rings"][0]
+                       ["alloc_failures"] < 1):
+                    assert time.monotonic() < deadline, "ring never filled"
                     time.sleep(0.01)
+                time.sleep(0.2)  # the dispatcher keeps waiting, spills nothing
+                stalled = server.stats()
             finally:
                 os.kill(pid, signal.SIGCONT)
             results = [server.result(i, timeout=30.0) for i in ids]
             stats = server.stats()
+        assert stalled["queue_depth"] == 2
+        assert stalled["in_flight_batches"] == 1
         np.testing.assert_array_equal(np.concatenate(results), reference)
         transport = stats["transport"]
-        # Exactly one batch fits the ring: the first travelled by ring and
-        # at least one of the others had to spill.
-        assert transport["shm_batches"] >= 1
-        assert transport["spills"] >= 1
         assert stats["requests"]["failed"] == 0
+        assert transport["shm_batches"] == 4
+        assert transport["pickle_batches"] == 0 and transport["spills"] == 0
+        assert transport["rings"][0]["live_leases"] == 0
 
-    def test_ring_smaller_than_any_batch_spills_everything(self, session, images):
-        with LocalizationServer(session, workers=1, max_delay_ms=0.5,
-                                ring_bytes=ALIGNMENT,
-                                spill_wait_ms=1.0) as server:
-            served = server.predict_many(images[:8], timeout=30.0)
-            stats = server.stats()
-        np.testing.assert_array_equal(served, session.predict_many(images[:8]))
-        assert stats["transport"]["shm_batches"] == 0
-        assert stats["transport"]["pickle_batches"] >= 1
-        assert stats["transport"]["spills"] >= 1
+    def test_ring_smaller_than_a_batch_is_refused(self, session):
+        """An explicit ring must hold one full ``max_batch`` batch, at
+        construction and for every model loaded later."""
+        with pytest.raises(ValueError, match="ring bytes"):
+            LocalizationServer(session, workers=1, ring_bytes=ALIGNMENT)
+        one_batch = align(8 * 12 * 12 * 3 * 4) + align(8 * 5 * 4)
+        empty = LocalizationServer(None, workers=1, max_batch=8,
+                                   ring_bytes=one_batch - ALIGNMENT)
+        with pytest.raises(ValueError, match="ring bytes"):
+            empty.load_model("m@v1", session.snapshot())
+        assert empty.stats()["models"] == {}
+        LocalizationServer(session, workers=1, max_batch=8,
+                           ring_bytes=one_batch)  # exactly one batch fits
 
-    def test_stale_generation_redispatches_over_pickle(self, session, images):
-        """Force every descriptor to carry a wrong generation: the worker
-        must reject them and the parent must re-dispatch over pickle —
-        no request may fail or hang."""
+    def test_request_larger_than_the_ring_is_refused(self, session, images):
+        one_batch = align(8 * 12 * 12 * 3 * 4) + align(8 * 5 * 4)
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=0.5,
+                                ring_bytes=one_batch) as server:
+            with pytest.raises(ValueError, match="ring bytes"):
+                server.submit(images[:9])
+            assert server.stats()["requests"]["submitted"] == 0
+            np.testing.assert_array_equal(
+                server.result(server.submit(images[:8]), timeout=30.0),
+                session.predict_many(images[:8]))
+        # The default ring holds ring_slots full batches: a 20-sample
+        # request with max_batch 8 still travels as one batch.
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=0.5) as server:
+            served = server.result(server.submit(images[:20]), timeout=30.0)
+        np.testing.assert_array_equal(served, session.predict_many(images[:20]))
+
+    def test_stale_generation_restarts_the_shard(self, session, images):
+        """Force the parent's generation away from the worker's: the
+        worker rejects the record, the parent restarts the shard, and
+        the restart re-mints the lease under a generation both agree on
+        — no request may fail or hang."""
         reference = session.predict_many(images[:8])
-        with LocalizationServer(session, workers=1, max_delay_ms=1.0) as server:
+        with LocalizationServer(session, workers=1, max_delay_ms=1.0,
+                                health_interval_s=0.05) as server:
             with server._lock:
                 server._shards[0].generation += 7  # worker still at gen 1
             served = server.predict_many(images[:8], timeout=30.0)
             stats = server.stats()
         np.testing.assert_array_equal(served, reference)
-        transport = stats["transport"]
-        assert transport["spills"] >= 1  # the pickle re-dispatch path ran
         assert stats["requests"]["failed"] == 0
-        for ring in transport["rings"]:
-            assert ring["live_leases"] == 0  # rejected leases were freed
+        assert stats["shards"][0]["restarts"] >= 1
+        transport = stats["transport"]
+        assert transport["pickle_batches"] == 0 and transport["spills"] == 0
+        assert transport["rings"][0]["live_leases"] == 0
 
     def test_worker_answers_a_stale_record_with_a_transport_error(
             self, session, images):
         """Straight through ``_worker_main``'s pipes: a record stamped with
         another generation comes back as ``ShmTransportError`` (the
-        parent's cue to re-dispatch over pickle); a current one is served
-        into the ring and answered with a done record."""
+        parent's cue to restart the shard); a current one is served into
+        the ring and answered with a done record."""
         import multiprocessing
         import threading
 
@@ -415,7 +435,6 @@ class TestServerShmTransport:
 
         drill = run_fault_tolerance_drill(
             session, images, requests=20, request_size=4, workers=2,
-            transport="shm",
         )
         assert drill["transport"] == "shm"
         assert drill["lost"] == 0, drill
@@ -460,13 +479,6 @@ class TestServerShmTransport:
         assert transport["mode"] == "shm"
         assert transport["shm_batches"] >= 1
         assert transport["pickle_batches"] == 0
-
-    def test_transport_parity_bit_identical(self):
-        from repro.serve.bench import run_transport_parity
-
-        report = run_transport_parity(image_size=12, num_classes=8,
-                                      max_batch=8, samples=24, workers=1)
-        assert report["bit_identical"], report
 
 
 @needs_shm
